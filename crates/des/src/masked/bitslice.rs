@@ -11,14 +11,15 @@
 //! [`super::MaskedDesFf`] (3 lead-in + 16 × 7 = 115 cycles) and
 //! [`super::MaskedDesPd`] (2 lead-in + 16 × 2 = 34 cycles): every
 //! register/combinational toggle contribution a scalar core records is
-//! pushed as one toggle word into a [`CycleLaneCounters`], which reduces
-//! them to per-lane [`CycleRecord`](crate::masked::core_ff::CycleRecord)s
-//! by transpose + `count_ones`. Randomness is drawn from the *same*
-//! [`MaskRng`] in per-lane trace order (key mask, plaintext mask, then
-//! 16 × 14 refresh bits per lane), so lane `ℓ` of a group consumes the
-//! identical mask stream as the `ℓ`-th sequential scalar encryption —
-//! ciphertexts *and* cycle records are bit-identical, which the tests
-//! below and the campaign golden tests pin.
+//! pushed as one toggle word into a [`CycleLaneCounters`], whose
+//! carry-save bit-plane counters reduce them to per-lane
+//! [`CycleRecord`](crate::masked::core_ff::CycleRecord)s. Randomness is
+//! drawn from the *same* [`MaskRng`] in per-lane trace order (key mask,
+//! plaintext mask, then 16 × 14 refresh bits per lane), so lane `ℓ` of a
+//! group consumes the identical mask stream as the `ℓ`-th sequential
+//! scalar encryption — ciphertexts *and* cycle records are bit-identical,
+//! which the workspace's `tests/bitsliced_cycle_model.rs` and the
+//! campaign golden tests pin.
 //!
 //! A group may hold fewer than 64 lanes (the campaign tail): inactive
 //! lanes draw no randomness, compute with all-zero inputs, and are
@@ -46,10 +47,11 @@ fn rot28(v: &[LaneBit; 28], by: usize) -> [LaneBit; 28] {
     std::array::from_fn(|i| v[(i + 28 - by) % 28])
 }
 
-/// Push the share-wise Hamming weight of a word (one toggle word per
-/// share bit, batched through [`SegLaneCounter::extend`]).
-fn push_hw(c: &mut SegLaneCounter, w: &[LaneBit]) {
-    c.extend(w.iter().flat_map(|b| [b.s0, b.s1]));
+/// Push the share-wise Hamming weight of a word: one toggle word per
+/// share bit, batched through [`SegLaneCounter::extend`], which folds
+/// them into the open cycle's count planes.
+fn push_hw<'a>(c: &mut SegLaneCounter, w: impl IntoIterator<Item = &'a LaneBit>) {
+    c.extend(w.into_iter().flat_map(|b| [b.s0, b.s1]));
 }
 
 /// Push the share-wise Hamming distance between two words.
@@ -359,33 +361,24 @@ impl BitslicedDes {
             // The FF gadget enforces the safe arrival order: no exposure.
             let sout_raw = bs_sbox_layer(&ir, &pm, &mm, &mut traces, None);
 
+            // Each cycle pushes all eight S-boxes' words in one batch.
             // Cycle 1: AND stage layer 1 (the six pair products).
-            for t in &traces {
-                push_hw(&mut counters.comb, &t.products[..6]);
-            }
+            push_hw(&mut counters.comb, traces.iter().flat_map(|t| &t.products[..6]));
             counters.end_cycle();
 
             // Cycle 2: AND stage layer 2 + MUX stage-1 register.
-            for (s, t) in traces.iter().enumerate() {
-                let old = &mut sel_regs[4 * s..4 * s + 4];
-                push_hd(&mut counters.reg, old, &t.sel);
-                old.copy_from_slice(&t.sel);
-                push_hw(&mut counters.comb, &t.products[6..10]);
-            }
+            let sel: [LaneBit; 32] = std::array::from_fn(|i| traces[i / 4].sel[i % 4]);
+            push_hd(&mut counters.reg, &sel_regs, &sel);
+            sel_regs = sel;
+            push_hw(&mut counters.comb, traces.iter().flat_map(|t| &t.products[6..]));
             counters.end_cycle();
 
             // Cycle 3: AND-stage settle (y1 FF captures).
-            for t in &traces {
-                push_hw(&mut counters.comb, &t.products);
-            }
+            push_hw(&mut counters.comb, traces.iter().flat_map(|t| &t.products));
             counters.end_cycle();
 
             // Cycle 4: XOR stage (mini S-box outputs).
-            for t in &traces {
-                for row in &t.mini_out {
-                    push_hw(&mut counters.comb, row);
-                }
-            }
+            push_hw(&mut counters.comb, traces.iter().flat_map(|t| t.mini_out.iter().flatten()));
             counters.end_cycle();
 
             // Cycle 5: MUX stages 2/3 + S-box output register.
@@ -466,18 +459,19 @@ impl BitslicedDes {
                 &mut traces,
                 Some((&mut counters.glitch, &mut counters.coupling)),
             );
-            for (s, t) in traces.iter().enumerate() {
-                let old = &mut mid_prev[20 * s..20 * s + 20];
-                let mids = t.sel.iter().chain(t.mini_out.iter().flatten());
-                counters.reg.extend(
-                    old.iter().zip(mids.clone()).flat_map(|(o, b)| [o.s0 ^ b.s0, o.s1 ^ b.s1]),
-                );
-                counters.comb.extend(mids.clone().flat_map(|b| [b.s0, b.s1]));
-                for (o, b) in old.iter_mut().zip(mids) {
-                    *o = *b;
+            // The MUX-1 and XOR-stage outputs of all eight S-boxes, each
+            // S-box's 4 + 16 in a row.
+            let mids: [LaneBit; 8 * 20] = std::array::from_fn(|i| {
+                let (t, j) = (&traces[i / 20], i % 20);
+                if j < 4 {
+                    t.sel[j]
+                } else {
+                    t.mini_out[(j - 4) / 4][j % 4]
                 }
-                push_hw(&mut counters.comb, &t.products);
-            }
+            });
+            push_hd(&mut counters.reg, &mid_prev, &mids);
+            push_hw(&mut counters.comb, mids.iter().chain(traces.iter().flat_map(|t| &t.products)));
+            mid_prev = mids;
             counters.end_cycle();
 
             // Cycle 1: MUX stage 2/3, P, combine; state + key registers.
@@ -506,100 +500,5 @@ impl BitslicedDes {
         pre[32..].copy_from_slice(r);
         let ct_word = bs_permute(&pre, 64, &FP);
         bs_unmask_to_lanes(&ct_word)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::masked::core_ff::CycleRecord;
-    use crate::masked::{MaskedDesFf, MaskedDesPd};
-    use crate::reference::Des;
-    use rand::rngs::SmallRng;
-    use rand::{RngExt, SeedableRng};
-
-    fn random_pts(n: usize, seed: u64) -> Vec<u64> {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        (0..n).map(|_| rng.random()).collect()
-    }
-
-    /// Compare one bitsliced group against `pts.len()` sequential scalar
-    /// encryptions drawing from an identically-seeded `MaskRng`:
-    /// ciphertexts and full per-cycle records must be bit-identical.
-    fn assert_group_matches_scalar(pd: bool, pts: &[u64], mask_seed: Option<u64>) {
-        let key = 0x133457799BBCDFF1u64;
-        let mk_rng = || match mask_seed {
-            Some(s) => MaskRng::new(s),
-            None => MaskRng::disabled(),
-        };
-        let bs = BitslicedDes::new(key);
-        let mut counters = CycleLaneCounters::new();
-        let mut bs_rng = mk_rng();
-        let cts = if pd {
-            bs.encrypt_pd_group(pts, &mut bs_rng, &mut counters)
-        } else {
-            bs.encrypt_ff_group(pts, &mut bs_rng, &mut counters)
-        };
-
-        let reference = Des::new(key);
-        let mut sc_rng = mk_rng();
-        let mut lane_rec: Vec<CycleRecord> = Vec::new();
-        for (lane, &pt) in pts.iter().enumerate() {
-            let (ct, cycles) = if pd {
-                MaskedDesPd::new(key).encrypt_with_cycles(pt, &mut sc_rng)
-            } else {
-                MaskedDesFf::new(key).encrypt_with_cycles(pt, &mut sc_rng)
-            };
-            assert_eq!(cts[lane], ct, "lane {lane} ciphertext");
-            assert_eq!(ct, reference.encrypt_block(pt), "lane {lane} vs reference");
-            counters.lane_into(lane, &mut lane_rec);
-            assert_eq!(lane_rec, cycles, "lane {lane} cycle records");
-        }
-    }
-
-    #[test]
-    fn ff_full_group_matches_scalar() {
-        assert_group_matches_scalar(false, &random_pts(64, 41), Some(777));
-    }
-
-    #[test]
-    fn pd_full_group_matches_scalar() {
-        assert_group_matches_scalar(true, &random_pts(64, 42), Some(778));
-    }
-
-    #[test]
-    fn partial_tail_groups_match_scalar() {
-        // Lane counts not divisible by 64: the campaign tail.
-        assert_group_matches_scalar(false, &random_pts(5, 43), Some(779));
-        assert_group_matches_scalar(true, &random_pts(17, 44), Some(780));
-        assert_group_matches_scalar(true, &random_pts(1, 45), Some(781));
-    }
-
-    #[test]
-    fn prng_off_matches_scalar() {
-        assert_group_matches_scalar(false, &random_pts(64, 46), None);
-        assert_group_matches_scalar(true, &random_pts(64, 47), None);
-    }
-
-    /// Consecutive groups off one RNG equal one long scalar sequence —
-    /// the exact situation in a TVLA block of 256 traces.
-    #[test]
-    fn group_sequence_matches_scalar_stream() {
-        let key = 0x0E329232EA6D0D73u64;
-        let pts = random_pts(96, 48);
-        let bs = BitslicedDes::new(key);
-        let mut counters = CycleLaneCounters::new();
-        let mut bs_rng = MaskRng::new(900);
-        let mut bs_cts = Vec::new();
-        for chunk in pts.chunks(64) {
-            let cts = bs.encrypt_pd_group(chunk, &mut bs_rng, &mut counters);
-            bs_cts.extend_from_slice(&cts[..chunk.len()]);
-        }
-        let mut sc_rng = MaskRng::new(900);
-        let core = MaskedDesPd::new(key);
-        for (i, &pt) in pts.iter().enumerate() {
-            let (ct, _) = core.encrypt_with_cycles(pt, &mut sc_rng);
-            assert_eq!(bs_cts[i], ct, "trace {i}");
-        }
     }
 }

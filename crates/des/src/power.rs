@@ -229,8 +229,8 @@ impl PowerModel {
     ///
     /// Stage 1 computes the deterministic base energies for all 64 lanes
     /// at once, straight off the sample-major count planes (one
-    /// contiguous, autovectorised sweep — the bit-plane popcounts are
-    /// already done inside [`SegLaneCounter`]). Stage 2 prefills one
+    /// contiguous, autovectorised sweep — the counting is already done
+    /// inside [`SegLaneCounter`]). Stage 2 prefills one
     /// measurement-noise tile for the whole group with a single bulk
     /// ziggurat fill. Stage 3 finishes each of the first `lanes` lanes in
     /// label order and hands the trace to `emit(lane, trace)`.
@@ -367,12 +367,12 @@ impl GroupScratch {
 ///
 /// The bitsliced cores push one *toggle word* per share bit per cycle
 /// into the four [`SegLaneCounter`]s (bit `ℓ` of a word = lane `ℓ`'s
-/// 0/1 contribution) and close each clock cycle with
-/// [`CycleLaneCounters::end_cycle`] — a boundary note, not a reduction.
-/// Blocks of 64 words are transposed as they fill, each cycle's share
-/// reduced with one masked `count_ones` per lane, and
-/// [`CycleLaneCounters::finish`] materialises the exact
-/// [`CycleRecord`]s for all lanes, stored lane-major so
+/// 0/1 contribution), which fold the words into the cycle's carry-save
+/// count planes as they arrive. [`CycleLaneCounters::end_cycle`] closes
+/// the cycle on all four counters, setting its planes aside; a full
+/// buffer of 64 planes is transposed once into per-lane counts.
+/// [`CycleLaneCounters::finish`] transposes the rest and materialises
+/// the exact [`CycleRecord`]s for all lanes, stored lane-major so
 /// [`CycleLaneCounters::lane_into`] is a straight copy.
 #[derive(Debug, Default)]
 pub struct CycleLaneCounters {

@@ -187,7 +187,7 @@ impl TraceSource for CycleModelSource {
 /// order as [`CycleModelSource`] — campaign statistics are
 /// **bit-identical** — but the masked encryptions of a block run 64
 /// lanes at a time through [`BitslicedDes`], and per-lane cycle records
-/// come out of one popcount reduction ([`CycleLaneCounters`]).
+/// come out of carry-save bit-plane counters ([`CycleLaneCounters`]).
 ///
 /// Two tails, switched by [`gm_leakage::moments_wide_enabled`]
 /// (`GM_MOMENTS_WIDE`) at construction:

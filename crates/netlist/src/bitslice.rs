@@ -56,128 +56,212 @@ pub fn transpose64(a: &mut [u64; 64]) {
     }
 }
 
-/// Per-lane population counter over a stream of toggle words.
+/// Carry-save add of `x + y` into plane `p`: `p` keeps the sum bits and
+/// the carries (one weight up) are returned — one full adder per lane.
+#[inline(always)]
+fn csa(p: &mut u64, x: u64, y: u64) -> u64 {
+    let u = *p ^ x;
+    let carry = (*p & x) | (u & y);
+    *p = u ^ y;
+    carry
+}
+
+/// Per-lane population counts over a stream of toggle words, partitioned
+/// into consecutive *segments* (one per clock cycle in the cycle engines).
 ///
 /// Hamming weights/distances of share words are the cycle model's power
 /// terms; per lane they are `count_ones` over the *columns* of the pushed
-/// words. The counter buffers up to 64 words, transposes the block once,
-/// and adds one `count_ones` per lane — ~9 word ops per pushed word,
-/// against 64 per-bit additions for the scalar path.
-#[derive(Debug)]
-pub struct LaneCounter {
-    buf: [u64; 64],
-    n: usize,
-    acc: [u32; 64],
-    words: Counter,
-    transposes: Counter,
-}
-
-impl Default for LaneCounter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LaneCounter {
-    /// An empty counter.
-    pub fn new() -> Self {
-        LaneCounter {
-            buf: [0; 64],
-            n: 0,
-            acc: [0; 64],
-            words: Counter::new(),
-            transposes: Counter::new(),
-        }
-    }
-
-    /// Add one toggle word: lane `ℓ` gains `(w >> ℓ) & 1`.
-    #[inline]
-    pub fn push(&mut self, w: u64) {
-        self.words.inc();
-        self.buf[self.n] = w;
-        self.n += 1;
-        if self.n == 64 {
-            self.flush();
-        }
-    }
-
-    /// Lifetime count of pushed toggle words (0 under `obs-off`).
-    pub fn obs_words(&self) -> u64 {
-        self.words.get()
-    }
-
-    /// Lifetime count of 64×64 transposes performed (0 under `obs-off`).
-    pub fn obs_transposes(&self) -> u64 {
-        self.transposes.get()
-    }
-
-    fn flush(&mut self) {
-        self.transposes.inc();
-        self.buf[self.n..].fill(0);
-        transpose64(&mut self.buf);
-        for (a, b) in self.acc.iter_mut().zip(self.buf.iter()) {
-            *a += b.count_ones();
-        }
-        self.n = 0;
-    }
-
-    /// Flush and return the per-lane counts, resetting the counter.
-    pub fn drain(&mut self) -> [u32; 64] {
-        if self.n > 0 {
-            self.flush();
-        }
-        std::mem::replace(&mut self.acc, [0; 64])
-    }
-}
-
-/// [`LaneCounter`] with *segment* boundaries: per-lane popcounts over a
-/// stream of toggle words, partitioned into consecutive segments (one
-/// per clock cycle in the cycle engines) without transposing at every
-/// boundary.
+/// words. The counter never transposes the toggle words themselves: it
+/// keeps the open segment's per-lane counts as a carry-save positional
+/// popcount, where plane `i` bit `ℓ` is bit `i` of lane `ℓ`'s running
+/// count. Pushed words are buffered 16 at a time and folded by a
+/// Harley–Seal tree of carry-save adders into the planes of weight 1, 2,
+/// 4 and 8; the tree's weight-16 carry ripples into the planes above.
+/// That is about five word operations per pushed word.
 ///
-/// A plain [`LaneCounter`] drained once per cycle pays a full 64×64
-/// transpose per cycle even when the cycle pushed far fewer than 64
-/// words — and the transpose *is* the engines' dominant cost. Here
-/// [`Self::mark`] just records the boundary position; blocks are
-/// transposed only when 64 words have actually accumulated (or once at
-/// [`Self::finish`]), and each segment's share of a block is reduced
-/// with one masked `count_ones` per lane. Cycles may span any number of
-/// blocks and blocks any number of cycles.
-#[derive(Debug)]
+/// [`Self::mark`] zero-pads and folds the segment's last block, then
+/// appends its `k = bit_length(words in segment)` count planes to a
+/// 64-plane buffer (a segment with no words appends none). Only when the
+/// buffer fills, and at [`Self::finish`], is it transposed, once: lane
+/// `ℓ`'s count for a segment is then the plain `k`-bit field of column
+/// `ℓ` at the segment's plane offset. A 115-cycle FF group pays a few
+/// transposes per counter, not one per 64 pushed words.
+#[derive(Debug, Default)]
 pub struct SegLaneCounter {
-    buf: [u64; 64],
-    n: usize,
-    /// Segments closed inside the still-untransposed block:
-    /// `(segment index, end position in buf)`, in push order.
-    marks: Vec<(u32, u8)>,
+    /// Word and plane buffers, allocated by the first pushed word. Boxed
+    /// so that building a counter stays a handful of stores: a cycle
+    /// source holds four, and a campaign builds one source per worker.
+    st: Option<Box<Planes>>,
     /// Index of the open segment.
     open: u32,
-    /// Segment-major counts: `counts[seg * 64 + lane]`.
-    counts: Vec<u32>,
+    counts: Counts,
     words: Counter,
     transposes: Counter,
     segments: Counter,
 }
 
-impl Default for SegLaneCounter {
-    fn default() -> Self {
-        Self::new()
+/// The word and plane buffers of a [`SegLaneCounter`].
+#[derive(Debug)]
+struct Planes {
+    /// The open segment's words not yet folded: `blk[..nb]`.
+    blk: [u64; 16],
+    nb: usize,
+    /// The open segment's count planes, `acc[i]` of weight `2^i`: counts
+    /// are `u32`, so a segment holds fewer than `2^32` words.
+    acc: [u64; 32],
+    /// Planes above weight 8 in use: `acc[4..4 + hi]`.
+    hi: usize,
+    /// Words pushed to the open segment.
+    seg_words: u64,
+    /// Count planes of closed segments awaiting the transpose:
+    /// `planes[..used]`.
+    planes: [u64; 64],
+    used: usize,
+    /// The closed non-empty segments in `planes`, in order: segment
+    /// index, first plane, and plane count.
+    pend: [(u32, u8, u8); 64],
+    npend: usize,
+}
+
+/// Segment-major per-lane counts, `v[seg * 64 + lane]`, written for the
+/// segments `..written`. Counts past segment `dirty` are all zero.
+#[derive(Debug, Default)]
+struct Counts {
+    v: Vec<u32>,
+    written: usize,
+    dirty: usize,
+}
+
+impl Counts {
+    /// Make room for `segs` segments. The storage grows to exactly the
+    /// segments seen, so a campaign allocates it in its first group only.
+    fn grow(&mut self, segs: usize) {
+        let need = segs * 64;
+        if self.v.len() < need {
+            self.v.reserve_exact(need - self.v.len());
+            self.v.resize(need, 0);
+        }
+    }
+
+    /// Zero the counts of segments `written..seg`: no word reached them.
+    /// A counter that never sees a word (the FF core's exposure counters)
+    /// thus never rewrites its zeros.
+    fn zero_to(&mut self, seg: usize) {
+        if self.written < self.dirty {
+            self.v[self.written * 64..seg.min(self.dirty) * 64].fill(0);
+        }
+        self.written = seg;
+    }
+}
+
+impl Planes {
+    fn new() -> Self {
+        Planes {
+            blk: [0; 16],
+            nb: 0,
+            acc: [0; 32],
+            hi: 0,
+            seg_words: 0,
+            planes: [0; 64],
+            used: 0,
+            pend: [(0, 0, 0); 64],
+            npend: 0,
+        }
+    }
+
+    /// Push every word of `words`; returns how many there were.
+    #[inline]
+    fn extend<I: IntoIterator<Item = u64>>(&mut self, words: I) -> u64 {
+        let mut nb = self.nb;
+        let mut count = 0u64;
+        words.into_iter().for_each(|w| {
+            self.blk[nb] = w;
+            nb += 1;
+            count += 1;
+            if nb == 16 {
+                self.fold();
+                nb = 0;
+            }
+        });
+        self.nb = nb;
+        self.seg_words += count;
+        count
+    }
+
+    /// Fold the 16 words of `blk` into the count planes.
+    fn fold(&mut self) {
+        let b = &self.blk;
+        let [ones, twos, fours, eights, high @ ..] = &mut self.acc;
+        let mut e = [0u64; 2];
+        for (h, e) in e.iter_mut().enumerate() {
+            let mut f = [0u64; 2];
+            for (q, f) in f.iter_mut().enumerate() {
+                let i = 8 * h + 4 * q;
+                let ta = csa(ones, b[i], b[i + 1]);
+                let tb = csa(ones, b[i + 2], b[i + 3]);
+                *f = csa(twos, ta, tb);
+            }
+            *e = csa(fours, f[0], f[1]);
+        }
+        let mut carry = csa(eights, e[0], e[1]);
+        for p in &mut high[..self.hi] {
+            let c = *p & carry;
+            *p ^= carry;
+            carry = c;
+        }
+        if carry != 0 {
+            high[self.hi] = carry;
+            self.hi += 1;
+        }
+    }
+
+    /// Fold the open segment's last words and return its plane count `k`.
+    fn close(&mut self) -> usize {
+        if self.nb > 0 {
+            self.blk[self.nb..].fill(0);
+            self.fold();
+            self.nb = 0;
+        }
+        let k = (u64::BITS - self.seg_words.leading_zeros()) as usize;
+        self.seg_words = 0;
+        self.hi = 0;
+        k
+    }
+
+    /// Move the closed segment `seg`'s `k` count planes to the buffer.
+    fn append(&mut self, seg: u32, k: usize) {
+        self.planes[self.used..][..k].copy_from_slice(&self.acc[..k]);
+        self.acc[..k].fill(0);
+        self.pend[self.npend] = (seg, self.used as u8, k as u8);
+        self.npend += 1;
+        self.used += k;
+    }
+
+    /// Transpose the plane buffer and write out the counts of the
+    /// segments it holds; the buffer is empty afterwards.
+    fn transpose_into(&mut self, counts: &mut Counts) {
+        self.planes[self.used..].fill(0);
+        transpose64(&mut self.planes);
+        counts.grow(self.pend[self.npend - 1].0 as usize + 1);
+        for &(seg, start, k) in &self.pend[..self.npend] {
+            let seg = seg as usize;
+            let mask = (1u64 << k) - 1;
+            counts.zero_to(seg);
+            for (c, &col) in counts.v[seg * 64..][..64].iter_mut().zip(&self.planes) {
+                *c = ((col >> start) & mask) as u32;
+            }
+            counts.written = seg + 1;
+            counts.dirty = counts.dirty.max(seg + 1);
+        }
+        self.npend = 0;
+        self.used = 0;
     }
 }
 
 impl SegLaneCounter {
     /// An empty counter with no closed segments.
     pub fn new() -> Self {
-        SegLaneCounter {
-            buf: [0; 64],
-            n: 0,
-            marks: Vec::new(),
-            open: 0,
-            counts: Vec::new(),
-            words: Counter::new(),
-            transposes: Counter::new(),
-            segments: Counter::new(),
-        }
+        Self::default()
     }
 
     /// Lifetime count of pushed toggle words (0 under `obs-off`).
@@ -197,68 +281,36 @@ impl SegLaneCounter {
         self.segments.get()
     }
 
-    /// Forget all words, marks, and counts.
+    /// Forget all words, marks, and counts. The buffers stay allocated
+    /// for the next group.
     pub fn reset(&mut self) {
-        self.n = 0;
-        self.marks.clear();
+        if let Some(st) = self.st.as_deref_mut() {
+            *st = Planes::new();
+        }
         self.open = 0;
-        self.counts.clear();
+        self.counts.written = 0;
+    }
+
+    fn state(&mut self) -> &mut Planes {
+        self.st.get_or_insert_with(|| Box::new(Planes::new()))
     }
 
     /// Add one toggle word to the open segment: lane `ℓ` gains
     /// `(w >> ℓ) & 1`.
     #[inline]
     pub fn push(&mut self, w: u64) {
-        self.words.inc();
-        self.buf[self.n] = w;
-        self.n += 1;
-        if self.n == 64 {
-            self.flush();
-        }
-    }
-
-    /// Add two toggle words — the share-pair form the masked engines
-    /// emit for every bit, with one capacity check instead of two.
-    #[inline]
-    pub fn push2(&mut self, a: u64, b: u64) {
-        if self.n == 63 {
-            self.push(a);
-            self.push(b);
-            return;
-        }
-        self.words.add(2);
-        self.buf[self.n] = a;
-        self.buf[self.n + 1] = b;
-        self.n += 2;
-        if self.n == 64 {
-            self.flush();
-        }
+        self.extend([w]);
     }
 
     /// Append every word yielded by `words` to the open segment — the
-    /// batched form of [`Self::push`], bit-identical in effect.
+    /// batched form of [`Self::push`], identical in effect.
     ///
     /// The bitsliced cycle engines push hundreds of words per clock
-    /// cycle; routed through `push`/`push2` each word pays its own
-    /// capacity check, buffer-index update, and observability bump.
-    /// Batching hoists that bookkeeping out of the loop (the index and
-    /// word count live in registers for the whole run), which roughly
-    /// halves the engines' counting overhead on top of the transpose.
+    /// cycle; batching keeps the block index and word count in registers
+    /// for the whole run instead of updating them per word.
     #[inline]
     pub fn extend<I: IntoIterator<Item = u64>>(&mut self, words: I) {
-        let mut n = self.n;
-        let mut count = 0u64;
-        for w in words {
-            self.buf[n] = w;
-            n += 1;
-            count += 1;
-            if n == 64 {
-                self.n = 64;
-                self.flush();
-                n = 0;
-            }
-        }
-        self.n = n;
+        let count = self.state().extend(words);
         self.words.add(count);
     }
 
@@ -266,7 +318,16 @@ impl SegLaneCounter {
     #[inline]
     pub fn mark(&mut self) {
         self.segments.inc();
-        self.marks.push((self.open, self.n as u8));
+        if let Some(st) = self.st.as_deref_mut() {
+            let k = st.close();
+            if k > 0 {
+                if st.used + k > 64 {
+                    self.transposes.inc();
+                    st.transpose_into(&mut self.counts);
+                }
+                st.append(self.open, k);
+            }
+        }
         self.open += 1;
     }
 
@@ -275,73 +336,21 @@ impl SegLaneCounter {
         self.open as usize
     }
 
-    /// Flush any buffered words and return the per-lane counts of every
-    /// *closed* segment, segment-major (`counts[seg * 64 + lane]`).
-    /// Words pushed after the last [`Self::mark`] keep accumulating in
-    /// the open segment and are not part of the returned view.
+    /// Return the per-lane counts of every *closed* segment,
+    /// segment-major (`counts[seg * 64 + lane]`). Words pushed after the
+    /// last [`Self::mark`] keep accumulating in the open segment and are
+    /// not part of the returned view.
     pub fn finish(&mut self) -> &[u32] {
-        if self.n > 0 || !self.marks.is_empty() {
-            self.flush();
-        }
-        let len = self.open as usize * 64;
-        if self.counts.len() < len {
-            self.counts.resize(len, 0);
-        }
-        &self.counts[..len]
-    }
-
-    fn flush(&mut self) {
-        if self.n == 0 {
-            // Boundary-only block (a counter nothing pushed to this
-            // group): the zero counts materialise in `finish`.
-            self.marks.clear();
-            return;
-        }
-        self.transposes.inc();
-        self.buf[self.n..].fill(0);
-        transpose64(&mut self.buf);
-        let need = (self.open as usize + 1) * 64;
-        if self.counts.len() < need {
-            self.counts.resize(need, 0);
-        }
-        let mut start = 0usize;
-        for &(seg, end) in &self.marks {
-            Self::accumulate(
-                &mut self.counts[seg as usize * 64..][..64],
-                &self.buf,
-                start,
-                end as usize,
-            );
-            start = end as usize;
-        }
-        Self::accumulate(
-            &mut self.counts[self.open as usize * 64..][..64],
-            &self.buf,
-            start,
-            self.n,
-        );
-        self.marks.clear();
-        self.n = 0;
-    }
-
-    /// Add the popcount of column bits `[start, end)` to each lane's
-    /// count (`cols` is the transposed block: `cols[lane]` bit `i` =
-    /// pushed word `i`'s lane-`ℓ` bit).
-    fn accumulate(acc: &mut [u32], cols: &[u64; 64], start: usize, end: usize) {
-        if end == start {
-            return;
-        }
-        if end - start == 64 {
-            // Whole-block segment (a cycle spanning 64+ words): no mask.
-            for (a, c) in acc.iter_mut().zip(cols.iter()) {
-                *a += c.count_ones();
+        if let Some(st) = self.st.as_deref_mut() {
+            if st.used > 0 {
+                self.transposes.inc();
+                st.transpose_into(&mut self.counts);
             }
-            return;
         }
-        let mask = (!0u64 >> (64 - (end - start))) << start;
-        for (a, c) in acc.iter_mut().zip(cols.iter()) {
-            *a += (c & mask).count_ones();
-        }
+        let open = self.open as usize;
+        self.counts.grow(open);
+        self.counts.zero_to(open);
+        &self.counts.v[..open * 64]
     }
 }
 
@@ -521,6 +530,8 @@ pub fn gate_word(gate: &Gate, pins: &[u64]) -> u64 {
 mod tests {
     use super::*;
     use crate::Evaluator;
+    use rand::rngs::SmallRng;
+    use rand::{RngExt, SeedableRng};
 
     #[test]
     fn transpose_matches_naive() {
@@ -543,29 +554,14 @@ mod tests {
         assert_eq!(a, orig);
     }
 
-    #[test]
-    fn lane_counter_counts_columns() {
-        let mut c = LaneCounter::new();
-        // 100 words: lane 0 sees all ones, lane 1 every other word,
-        // lane 63 the first word only.
-        for i in 0..100u64 {
-            let mut w = 1u64;
-            if i % 2 == 0 {
-                w |= 2;
-            }
-            if i == 0 {
-                w |= 1 << 63;
-            }
-            c.push(w);
-        }
-        let counts = c.drain();
-        assert_eq!(counts[0], 100);
-        assert_eq!(counts[1], 50);
-        assert_eq!(counts[63], 1);
-        assert_eq!(counts[17], 0);
-        // Drained counter starts over.
-        c.push(u64::MAX);
-        assert_eq!(c.drain(), [1u32; 64]);
+    /// The scalar oracle: per closed segment and lane, the number of the
+    /// segment's words with that lane's bit set, segment-major.
+    fn naive_counts(segments: &[Vec<u64>]) -> Vec<u32> {
+        segments
+            .iter()
+            .flat_map(|s| (0..LANES).map(move |l| s.iter().filter(|&&w| (w >> l) & 1 == 1).count()))
+            .map(|c| c as u32)
+            .collect()
     }
 
     #[test]
@@ -573,10 +569,10 @@ mod tests {
         let mut c = SegLaneCounter::new();
         // Segment 0: three words, lane 0 always set, lane 5 once.
         c.push(1);
-        c.push2(1 | (1 << 5), 1);
+        c.extend([1 | (1 << 5), 1]);
         c.mark();
         // Segment 1: two words, lane 0 clear, lane 63 both times.
-        c.push2(1 << 63, 1 << 63);
+        c.extend([1 << 63, 1 << 63]);
         c.mark();
         // Segment 2: empty (a cycle in which a counter saw no words).
         c.mark();
@@ -590,105 +586,93 @@ mod tests {
         assert!(counts[2 * LANES..].iter().all(|&c| c == 0), "empty segment");
     }
 
-    /// Segments that straddle the internal 64-word transpose block get
-    /// their pieces stitched back together.
-    #[test]
-    fn seg_counter_straddles_blocks() {
-        let mut c = SegLaneCounter::new();
-        // Segment 0: 100 words (crosses the 64-word flush boundary),
-        // lane 3 set in every word, lane 9 in the last word only.
-        for i in 0..100u64 {
-            let mut w = 1u64 << 3;
-            if i == 99 {
-                w |= 1 << 9;
-            }
-            c.push(w);
+    /// Segment sizes around the 16-word block and the 64-plane buffer.
+    const SEG_SIZES: [usize; 10] = [0, 1, 15, 16, 17, 63, 64, 65, 256, 700];
+
+    /// One word of density class `d`: a single set lane, an eighth, a
+    /// half, seven eighths, or every lane.
+    fn word(d: u8, x: u64, y: u64, z: u64) -> u64 {
+        match d {
+            0 => 1 << (x % 64),
+            1 => x & y & z,
+            2 => x,
+            3 => x | y | z,
+            _ => u64::MAX,
         }
-        c.mark();
-        // Segment 1: 30 more words in the already-open block.
-        for _ in 0..30 {
-            c.push(1 << 3);
-        }
-        c.mark();
-        let counts = c.finish();
-        assert_eq!(counts[3], 100);
-        assert_eq!(counts[9], 1);
-        assert_eq!(counts[LANES + 3], 30);
-        // Reset starts a fresh set of segments.
-        c.reset();
-        c.push(u64::MAX);
-        c.mark();
-        assert_eq!(c.num_segments(), 1);
-        let counts = c.finish();
-        assert!(counts[..LANES].iter().all(|&x| x == 1));
     }
 
-    /// `extend` is bit-identical to the same words pushed one at a time,
-    /// including streams that straddle several flush boundaries and
-    /// segments that interleave batched and single pushes.
-    #[test]
-    fn extend_matches_single_pushes() {
-        let mut batched = SegLaneCounter::new();
-        let mut single = SegLaneCounter::new();
-        let mut x = 0xc0ff_ee00_d15e_a5e5u64;
-        let mut step = || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(97);
-            x
-        };
-        for run in [3usize, 64, 65, 1, 130, 0, 63, 200] {
-            let words: Vec<u64> = (0..run).map(|_| step()).collect();
-            batched.extend(words.iter().copied());
-            for &w in &words {
-                single.push(w);
-            }
-            let extra = step();
-            batched.push(extra);
-            single.push(extra);
-            batched.mark();
-            single.mark();
-        }
-        assert_eq!(batched.num_segments(), single.num_segments());
-        assert_eq!(batched.finish(), single.finish());
-    }
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
 
-    /// SegLaneCounter totals agree with the simple LaneCounter when the
-    /// whole stream is one segment.
-    #[test]
-    fn seg_counter_matches_lane_counter() {
-        let mut seg = SegLaneCounter::new();
-        let mut plain = LaneCounter::new();
-        let mut x = 0x9e37_79b9u64;
-        for _ in 0..777 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            seg.push(x);
-            plain.push(x);
+        /// The counter equals the naive per-bit count over random streams:
+        /// every segment size class, sparse and dense words, `push` and
+        /// `extend` mixed, `finish` with words in the open segment and
+        /// again after more marks, and `reset`.
+        #[test]
+        fn counter_matches_naive_oracle(
+            plan in proptest::collection::vec(
+                (0usize..SEG_SIZES.len(), 0u8..5, 0u8..3, 0u8..8, proptest::any::<u64>()),
+                1..24,
+            ),
+        ) {
+            let mut c = SegLaneCounter::new();
+            let mut closed: Vec<Vec<u64>> = Vec::new();
+            for &(size, density, how, event, seed) in &plan {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let words: Vec<u64> = (0..SEG_SIZES[size])
+                    .map(|_| word(density, rng.random(), rng.random(), rng.random()))
+                    .collect();
+                let (head, tail) = words.split_at(words.len() / 2);
+                match how {
+                    0 => c.extend(words.iter().copied()),
+                    1 => words.iter().for_each(|&w| c.push(w)),
+                    _ => {
+                        c.extend(head.iter().copied());
+                        tail.iter().for_each(|&w| c.push(w));
+                    }
+                }
+                if event == 0 {
+                    // Words of the open segment stay out of the view.
+                    let want = naive_counts(&closed);
+                    proptest::prop_assert_eq!(c.finish(), &want[..]);
+                }
+                c.mark();
+                closed.push(words);
+                match event {
+                    1 => {
+                        let want = naive_counts(&closed);
+                        proptest::prop_assert_eq!(c.finish(), &want[..]);
+                    }
+                    2 => {
+                        c.reset();
+                        closed.clear();
+                    }
+                    _ => {}
+                }
+            }
+            proptest::prop_assert_eq!(c.num_segments(), closed.len());
+            let want = naive_counts(&closed);
+            proptest::prop_assert_eq!(c.finish(), &want[..]);
+            // A repeated finish transposes nothing and returns the same view.
+            proptest::prop_assert_eq!(c.finish(), &want[..]);
         }
-        seg.mark();
-        let want = plain.drain();
-        assert_eq!(seg.finish(), &want[..]);
     }
 
     #[cfg(not(feature = "obs-off"))]
     #[test]
     fn obs_counters_track_words_and_transposes() {
-        let mut c = LaneCounter::new();
-        for _ in 0..130 {
-            c.push(1);
-        }
-        let _ = c.drain();
-        assert_eq!(c.obs_words(), 130);
-        // Two full-block flushes plus the partial flush in drain.
-        assert_eq!(c.obs_transposes(), 3);
-
         let mut s = SegLaneCounter::new();
-        for _ in 0..63 {
-            s.push(0);
+        // Ten 100-word segments of 7 planes each: nine fill 63 planes,
+        // the tenth forces a transpose, `finish` pays the second.
+        for _ in 0..10 {
+            s.extend([1u64; 100]);
+            s.mark();
         }
-        s.push2(1, 2); // straddles the 64-word boundary
-        s.mark();
+        s.mark(); // empty: no planes
         let _ = s.finish();
-        assert_eq!(s.obs_words(), 65);
-        assert_eq!(s.obs_segments(), 1);
+        let _ = s.finish();
+        assert_eq!(s.obs_words(), 1000);
+        assert_eq!(s.obs_segments(), 11);
         assert_eq!(s.obs_transposes(), 2);
     }
 

@@ -5,9 +5,9 @@
 //! semantics, but 64 independent evaluations advancing per clock edge in
 //! the lanes of a [`BitEvaluator`]. Per cycle it reports the classic
 //! toggle-count power terms — register Hamming distance and
-//! combinational Hamming distance — for **all 64 lanes at once**, via
-//! `count_ones` over transposed toggle words ([`LaneCounter`]) instead
-//! of per-bit accumulation.
+//! combinational Hamming distance — for **all 64 lanes at once**: the
+//! toggle words of an edge go into a [`SegLaneCounter`] as one segment,
+//! whose carry-save bit-plane counts replace per-bit accumulation.
 //!
 //! Glitch-aware campaigns cannot use this harness — a glitch is a
 //! *timing* artefact and zero-delay cycle semantics erase it. Their
@@ -17,7 +17,7 @@
 //! the lane words. This harness serves the non-glitch cycle-model
 //! campaigns (and cross-checks of the value-level DES cycle engines).
 
-use gm_netlist::bitslice::{BitEvaluator, LaneCounter};
+use gm_netlist::bitslice::{BitEvaluator, SegLaneCounter};
 use gm_netlist::{NetId, Netlist};
 use gm_obs::{Counter, Report};
 
@@ -39,8 +39,8 @@ pub struct BitClockedSim<'a> {
     prev_ff: Vec<u64>,
     prev_values: Vec<u64>,
     comb_nets: Vec<NetId>,
-    reg_counter: LaneCounter,
-    comb_counter: LaneCounter,
+    reg_counter: SegLaneCounter,
+    comb_counter: SegLaneCounter,
     steps: Counter,
 }
 
@@ -69,8 +69,8 @@ impl<'a> BitClockedSim<'a> {
             netlist,
             ev,
             cycle: 0,
-            reg_counter: LaneCounter::new(),
-            comb_counter: LaneCounter::new(),
+            reg_counter: SegLaneCounter::new(),
+            comb_counter: SegLaneCounter::new(),
             steps: Counter::new(),
         })
     }
@@ -133,14 +133,26 @@ impl<'a> BitClockedSim<'a> {
         self.cycle += 1;
         self.steps.inc();
 
-        for (i, &gid) in self.ev.ff_gates().iter().enumerate() {
-            self.reg_counter.push(self.prev_ff[i] ^ self.ev.ff_state(gid));
+        let ev = &self.ev;
+        self.reg_counter
+            .extend(ev.ff_gates().iter().zip(&self.prev_ff).map(|(&g, &p)| p ^ ev.ff_state(g)));
+        self.comb_counter
+            .extend(self.comb_nets.iter().zip(&self.prev_values).map(|(&n, &p)| p ^ ev.value(n)));
+        LaneActivity {
+            reg: edge_counts(&mut self.reg_counter),
+            comb: edge_counts(&mut self.comb_counter),
         }
-        for (&net, &prev) in self.comb_nets.iter().zip(self.prev_values.iter()) {
-            self.comb_counter.push(prev ^ self.ev.value(net));
-        }
-        LaneActivity { reg: self.reg_counter.drain(), comb: self.comb_counter.drain() }
     }
+}
+
+/// Close the edge's one segment and take its per-lane counts, leaving
+/// the counter empty for the next edge.
+fn edge_counts(c: &mut SegLaneCounter) -> [u32; 64] {
+    c.mark();
+    let mut counts = [0; 64];
+    counts.copy_from_slice(c.finish());
+    c.reset();
+    counts
 }
 
 #[cfg(test)]
