@@ -1,8 +1,8 @@
 //! Calibration tool: sweeps the leak-model constants against the TVLA
 //! pipeline so the trace-scaling story in EXPERIMENTS.md stays honest.
-//! Usage: `calibrate [N] [sigma] [--metrics PATH --progress ...]`.
+//! Usage: `calibrate [N] [sigma] [--scalar --metrics PATH --progress ...]`.
 use gm_bench::MetricsSink;
-use gm_des::tvla_src::{CoreVariant, CycleModelSource, SourceConfig};
+use gm_des::tvla_src::{AnyCycleSource, CoreVariant, SourceConfig};
 use gm_leakage::Campaign;
 use std::time::Instant;
 
@@ -18,7 +18,7 @@ fn main() {
     // Speed.
     let mut cfg = SourceConfig::new(CoreVariant::Ff);
     cfg.noise_sigma = sigma;
-    let src = CycleModelSource::new(cfg.clone());
+    let src = AnyCycleSource::new(cfg.clone(), args.scalar);
     let t0 = Instant::now();
     let r = metrics.run("ff-prng-on", &Campaign::parallel(n, 1), &src);
     let dt = t0.elapsed();
@@ -26,8 +26,9 @@ fn main() {
     let t2m = r.t2().iter().fold(0.0f64, |m, t| m.max(t.abs()));
     let t3m = r.t3().iter().fold(0.0f64, |m, t| m.max(t.abs()));
     println!(
-        "FF prng-on  n={n} sigma={sigma}: t1={t1m:.2} t2={t2m:.2} t3={t3m:.2} ({:.0} traces/s)",
-        n as f64 / dt.as_secs_f64()
+        "FF prng-on  n={n} sigma={sigma}: t1={t1m:.2} t2={t2m:.2} t3={t3m:.2} ({:.0} traces/s, {})",
+        n as f64 / dt.as_secs_f64(),
+        src.backend_name()
     );
     let t1 = r.t1();
     let mut idx: Vec<usize> = (0..t1.len()).collect();
@@ -43,8 +44,8 @@ fn main() {
 
     let mut cfg_off = cfg.clone();
     cfg_off.prng_on = false;
-    let d =
-        gm_leakage::first_detection(&Campaign::parallel(n, 2), &CycleModelSource::new(cfg_off), 32);
+    let src_off = AnyCycleSource::new(cfg_off, args.scalar);
+    let d = gm_leakage::first_detection(&Campaign::parallel(n, 2), &src_off, 32);
     println!(
         "FF prng-off detection at {:?} (history {:?})",
         d.traces,
@@ -58,14 +59,14 @@ fn main() {
         c.noise_sigma = sigma;
         let mut leak = PdLeakModel::optimal();
         leak.coupling_eps = 0.0;
-        let src = CycleModelSource::with_pd_leak(c, leak);
+        let src = AnyCycleSource::with_pd_leak(c, leak, args.scalar);
         let r = metrics.run("pd10-coupling-off", &Campaign::parallel(n, 77), &src);
         println!("PD(10) coupling-off: max|t1|={:.2} at n={n}", r.max_abs_t1());
     }
     for unit in [1usize, 2, 3, 5, 7, 10] {
         let mut c = SourceConfig::new(CoreVariant::Pd { unit_luts: unit });
         c.noise_sigma = sigma;
-        let src = CycleModelSource::new(c);
+        let src = AnyCycleSource::new(c, args.scalar);
         let d = gm_leakage::first_detection(&Campaign::parallel(n, 3), &src, 256);
         let last = d.history.last().unwrap();
         println!(

@@ -12,7 +12,7 @@
 use gm_bench::panel::summary_line;
 use gm_bench::{Args, MetricsSink};
 use gm_des::power::order_violation_prob;
-use gm_des::tvla_src::{CoreVariant, CycleModelSource, SourceConfig};
+use gm_des::tvla_src::{AnyCycleSource, CoreVariant, SourceConfig};
 use gm_leakage::detect::first_detection;
 use gm_leakage::{Campaign, THRESHOLD};
 
@@ -22,8 +22,12 @@ fn main() {
     let args = Args::parse();
     let mut metrics = MetricsSink::from_args("fig15", &args);
     let per_version = args.trace_count(2_000, 8_000);
+    let backend = if args.scalar { "scalar reference" } else { "64-way bitsliced" };
     println!("FIG. 15 — DelayUnit-size sweep, protected DES with secAND2-PD");
-    println!("({per_version} traces/version ≙ the paper's 500k; same fixed plaintext)\n");
+    println!(
+        "({per_version} traces/version ≙ the paper's 500k; same fixed plaintext; \
+         {backend} backend)\n"
+    );
     println!("  LUTs/unit  P(order violation)  max|t1|  max|t2|  1st-order verdict");
     println!("  ---------  ------------------  -------  -------  -----------------");
 
@@ -31,7 +35,7 @@ fn main() {
     for unit in SIZES {
         let mut cfg = SourceConfig::new(CoreVariant::Pd { unit_luts: unit });
         cfg.seed = args.seed;
-        let src = CycleModelSource::new(cfg);
+        let src = AnyCycleSource::new(cfg, args.scalar);
         let r = metrics.run(
             &format!("unit{unit}"),
             &Campaign::parallel(per_version, args.seed ^ unit as u64),
@@ -52,7 +56,7 @@ fn main() {
     cfg.seed = args.seed ^ 0xf;
     let det = first_detection(
         &Campaign::parallel(big, args.seed ^ 0x15f),
-        &CycleModelSource::new(cfg),
+        &AnyCycleSource::new(cfg, args.scalar),
         256,
     );
     println!();

@@ -11,7 +11,7 @@
 //! [`super::MaskedDesFf`] (3 lead-in + 16 × 7 = 115 cycles) and
 //! [`super::MaskedDesPd`] (2 lead-in + 16 × 2 = 34 cycles): every
 //! register/combinational toggle contribution a scalar core records is
-//! pushed as one toggle word into a [`CycleLaneCounters`], whose
+//! one toggle word fed to a [`CycleLaneCounters`], whose
 //! carry-save bit-plane counters reduce them to per-lane
 //! [`CycleRecord`](crate::masked::core_ff::CycleRecord)s. Randomness is
 //! drawn from the *same* [`MaskRng`] in per-lane trace order (key mask,
@@ -47,28 +47,69 @@ fn rot28(v: &[LaneBit; 28], by: usize) -> [LaneBit; 28] {
     std::array::from_fn(|i| v[(i + 28 - by) % 28])
 }
 
-/// Push the share-wise Hamming weight of a word: one toggle word per
-/// share bit, batched through [`SegLaneCounter::extend`], which folds
-/// them into the open cycle's count planes.
-fn push_hw<'a>(c: &mut SegLaneCounter, w: impl IntoIterator<Item = &'a LaneBit>) {
-    c.extend(w.into_iter().flat_map(|b| [b.s0, b.s1]));
+/// One clock cycle's toggle words for one counter, built in place and
+/// fed to the counter as one slice: whole 64-word blocks then fold
+/// straight from the buffer. The largest cycle, the PD core's first
+/// round cycle, puts 480 words into its combinational counter.
+struct Toggles {
+    w: [u64; 512],
+    n: usize,
 }
 
-/// Push the share-wise Hamming distance between two words.
-fn push_hd(c: &mut SegLaneCounter, a: &[LaneBit], b: &[LaneBit]) {
-    c.extend(a.iter().zip(b).flat_map(|(x, y)| [x.s0 ^ y.s0, x.s1 ^ y.s1]));
+impl Toggles {
+    fn new() -> Self {
+        Toggles { w: [0; 512], n: 0 }
+    }
+
+    /// Add one toggle word.
+    fn push(&mut self, w: u64) {
+        self.w[self.n] = w;
+        self.n += 1;
+    }
+
+    /// Add the share-wise Hamming weight of a word: one toggle word per
+    /// share bit.
+    fn hw(&mut self, w: &[LaneBit]) -> &mut Self {
+        let out = &mut self.w[self.n..][..2 * w.len()];
+        for (o, b) in out.chunks_exact_mut(2).zip(w) {
+            o.copy_from_slice(&[b.s0, b.s1]);
+        }
+        self.n += 2 * w.len();
+        self
+    }
+
+    /// Add the share-wise Hamming distance between two words.
+    fn hd(&mut self, a: &[LaneBit], b: &[LaneBit]) -> &mut Self {
+        let out = &mut self.w[self.n..][..2 * a.len()];
+        for (o, (x, y)) in out.chunks_exact_mut(2).zip(a.iter().zip(b)) {
+            o.copy_from_slice(&[x.s0 ^ y.s0, x.s1 ^ y.s1]);
+        }
+        self.n += 2 * a.len();
+        self
+    }
+
+    /// Feed the words to `c`'s open cycle and empty the buffer.
+    fn feed(&mut self, c: &mut SegLaneCounter) {
+        c.extend_from_slice(&self.w[..self.n]);
+        self.n = 0;
+    }
 }
 
-/// Record one `secAND2` evaluation's glitch/coupling exposure (the PD
-/// core's handles; the FF core passes `None` — its gadget never exposes).
-fn count_gadget(
-    exp: &mut Option<(&mut SegLaneCounter, &mut SegLaneCounter)>,
-    x: LaneBit,
-    y: LaneBit,
-) {
-    if let Some((glitch, coupling)) = exp.as_mut() {
-        glitch.push(y.unmask());
-        coupling.push(x.unmask());
+/// A round's glitch and coupling exposure words, one per `secAND2`
+/// evaluation (the PD core's; the FF core passes `None` — its gadget
+/// never exposes).
+struct Exposures {
+    /// Bit `ℓ` = the gadget's unshared *y* in lane `ℓ`.
+    glitch: Toggles,
+    /// Bit `ℓ` = the gadget's unshared *x*.
+    coupling: Toggles,
+}
+
+/// Record one `secAND2` evaluation's glitch/coupling exposure.
+fn count_gadget(exp: &mut Option<&mut Exposures>, x: LaneBit, y: LaneBit) {
+    if let Some(e) = exp {
+        e.glitch.push(y.unmask());
+        e.coupling.push(x.unmask());
     }
 }
 
@@ -108,8 +149,8 @@ impl BsKs {
 }
 
 /// All intermediates of one lane-parallel S-box evaluation (the word
-/// form of [`crate::sbox::masked::SboxTrace`]; the exposure sums live in
-/// the caller's [`SegLaneCounter`]s instead of per-trace fields).
+/// form of [`crate::sbox::masked::SboxTrace`]; the exposure words go to
+/// the caller's [`Exposures`] instead of per-trace sums).
 #[derive(Debug, Clone, Copy)]
 struct BsSboxTrace {
     products: [LaneBit; 10],
@@ -133,7 +174,7 @@ fn bs_sbox_trace(
     bits: &[LaneBit; 6],
     pm: &[u64; 10],
     mm: &[u64; 4],
-    exp: &mut Option<(&mut SegLaneCounter, &mut SegLaneCounter)>,
+    mut exp: Option<&mut Exposures>,
 ) -> BsSboxTrace {
     let v = [bits[4], bits[3], bits[2], bits[1]];
 
@@ -146,7 +187,7 @@ fn bs_sbox_trace(
                 acc = Some(match acc {
                     None => var,
                     Some(a) => {
-                        count_gadget(exp, a, var);
+                        count_gadget(&mut exp, a, var);
                         sec_and2_lanes(a, var)
                     }
                 });
@@ -181,7 +222,7 @@ fn bs_sbox_trace(
     for (r, s) in sel.iter_mut().enumerate() {
         let hi = if r & 0b10 != 0 { bits[0] } else { bits[0].not() };
         let lo = if r & 0b01 != 0 { bits[5] } else { bits[5].not() };
-        count_gadget(exp, hi, lo);
+        count_gadget(&mut exp, hi, lo);
         *s = sec_and2_lanes(hi, lo).refresh_with(mm[r]);
     }
 
@@ -190,7 +231,7 @@ fn bs_sbox_trace(
     for (j, o) in out.iter_mut().enumerate() {
         let mut acc = LaneBit::constant(false);
         for r in 0..4 {
-            count_gadget(exp, sel[r], mini_out[r][j]);
+            count_gadget(&mut exp, sel[r], mini_out[r][j]);
             acc = acc.xor(sec_and2_lanes(sel[r], mini_out[r][j]));
         }
         *o = acc;
@@ -204,12 +245,12 @@ fn bs_sbox_layer(
     pm: &[u64; 10],
     mm: &[u64; 4],
     traces: &mut [BsSboxTrace; 8],
-    mut exp: Option<(&mut SegLaneCounter, &mut SegLaneCounter)>,
+    mut exp: Option<&mut Exposures>,
 ) -> [LaneBit; 32] {
     let mut out = [LaneBit::default(); 32];
     for s in 0..8 {
         let bits: [LaneBit; 6] = std::array::from_fn(|i| ir[47 - (6 * s + i)]);
-        let t = bs_sbox_trace(s, &bits, pm, mm, &mut exp);
+        let t = bs_sbox_trace(s, &bits, pm, mm, exp.as_deref_mut());
         for (j, b) in t.out.iter().enumerate() {
             out[31 - (4 * s + j)] = *b;
         }
@@ -317,24 +358,26 @@ impl BitslicedDes {
         lanes_to_bits(&rnd.ptm, &mut ptm_t);
         lanes_to_bits(pts, &mut pt_t);
 
+        // Each cycle builds one counter's toggle words at a time in `t`
+        // and feeds them in one slice.
+        let mut t = Toggles::new();
+
         // Lead-in cycle 0: key masking + key register load.
         let mut ks = BsKs::new(self.key, &km_t);
-        push_hw(&mut counters.reg, &ks.c);
-        push_hw(&mut counters.reg, &ks.d);
+        t.hw(&ks.c).hw(&ks.d).feed(&mut counters.reg);
         counters.end_cycle();
 
         // Lead-in cycle 1: plaintext masking + IP (wiring only).
         let pt_word: [LaneBit; 64] =
             std::array::from_fn(|b| LaneBit { s0: ptm_t[b], s1: pt_t[b] ^ ptm_t[b] });
-        push_hw(&mut counters.comb, &pt_word);
+        t.hw(&pt_word).feed(&mut counters.comb);
         counters.end_cycle();
 
         // Lead-in cycle 2: initial L/R load.
         let ip = bs_permute(&pt_word, 64, &IP);
         let mut r: [LaneBit; 32] = ip[..32].try_into().expect("R half");
         let mut l: [LaneBit; 32] = ip[32..].try_into().expect("L half");
-        push_hw(&mut counters.reg, &l);
-        push_hw(&mut counters.reg, &r);
+        t.hw(&l).hw(&r).feed(&mut counters.reg);
         counters.end_cycle();
 
         let mut ir = [LaneBit::default(); 48];
@@ -350,10 +393,8 @@ impl BitslicedDes {
             // Cycle 0: IR load + key rotation.
             let e = bs_permute(&r, 32, &E);
             let mixed: [LaneBit; 48] = std::array::from_fn(|i| e[i].xor(rk[i]));
-            push_hd(&mut counters.reg, &ir, &mixed);
-            push_hd(&mut counters.reg, &c_old, &c_new);
-            push_hd(&mut counters.reg, &d_old, &d_new);
-            push_hw(&mut counters.comb, &mixed);
+            t.hd(&ir, &mixed).hd(&c_old, &c_new).hd(&d_old, &d_new).feed(&mut counters.reg);
+            t.hw(&mixed).feed(&mut counters.comb);
             counters.end_cycle();
             ir = mixed;
 
@@ -361,38 +402,49 @@ impl BitslicedDes {
             // The FF gadget enforces the safe arrival order: no exposure.
             let sout_raw = bs_sbox_layer(&ir, &pm, &mm, &mut traces, None);
 
-            // Each cycle pushes all eight S-boxes' words in one batch.
+            // Each cycle feeds all eight S-boxes' words in one slice.
             // Cycle 1: AND stage layer 1 (the six pair products).
-            push_hw(&mut counters.comb, traces.iter().flat_map(|t| &t.products[..6]));
+            for s in &traces {
+                t.hw(&s.products[..6]);
+            }
+            t.feed(&mut counters.comb);
             counters.end_cycle();
 
             // Cycle 2: AND stage layer 2 + MUX stage-1 register.
             let sel: [LaneBit; 32] = std::array::from_fn(|i| traces[i / 4].sel[i % 4]);
-            push_hd(&mut counters.reg, &sel_regs, &sel);
+            t.hd(&sel_regs, &sel).feed(&mut counters.reg);
             sel_regs = sel;
-            push_hw(&mut counters.comb, traces.iter().flat_map(|t| &t.products[6..]));
+            for s in &traces {
+                t.hw(&s.products[6..]);
+            }
+            t.feed(&mut counters.comb);
             counters.end_cycle();
 
             // Cycle 3: AND-stage settle (y1 FF captures).
-            push_hw(&mut counters.comb, traces.iter().flat_map(|t| &t.products));
+            for s in &traces {
+                t.hw(&s.products);
+            }
+            t.feed(&mut counters.comb);
             counters.end_cycle();
 
             // Cycle 4: XOR stage (mini S-box outputs).
-            push_hw(&mut counters.comb, traces.iter().flat_map(|t| t.mini_out.iter().flatten()));
+            for m in traces.iter().flat_map(|s| &s.mini_out) {
+                t.hw(m);
+            }
+            t.feed(&mut counters.comb);
             counters.end_cycle();
 
             // Cycle 5: MUX stages 2/3 + S-box output register.
-            push_hd(&mut counters.reg, &sbox_out_reg, &sout_raw);
-            push_hw(&mut counters.comb, &sout_raw);
+            t.hd(&sbox_out_reg, &sout_raw).feed(&mut counters.reg);
+            t.hw(&sout_raw).feed(&mut counters.comb);
             counters.end_cycle();
             sbox_out_reg = sout_raw;
 
             // Cycle 6: Feistel combine + state registers.
             let fr = bs_permute(&sbox_out_reg, 32, &P);
             let new_r: [LaneBit; 32] = std::array::from_fn(|i| l[i].xor(fr[i]));
-            push_hd(&mut counters.reg, &l, &r);
-            push_hd(&mut counters.reg, &r, &new_r);
-            push_hw(&mut counters.comb, &fr);
+            t.hd(&l, &r).hd(&r, &new_r).feed(&mut counters.reg);
+            t.hw(&fr).feed(&mut counters.comb);
             counters.end_cycle();
             l = r;
             r = new_r;
@@ -422,10 +474,12 @@ impl BitslicedDes {
         lanes_to_bits(&rnd.ptm, &mut ptm_t);
         lanes_to_bits(pts, &mut pt_t);
 
+        let mut t = Toggles::new();
+        let mut exp = Exposures { glitch: Toggles::new(), coupling: Toggles::new() };
+
         // Lead-in cycle 0: key masking + load.
         let mut ks = BsKs::new(self.key, &km_t);
-        push_hw(&mut counters.reg, &ks.c);
-        push_hw(&mut counters.reg, &ks.d);
+        t.hw(&ks.c).hw(&ks.d).feed(&mut counters.reg);
         counters.end_cycle();
 
         // Lead-in cycle 1: plaintext masking, IP, initial L/R load.
@@ -434,9 +488,8 @@ impl BitslicedDes {
         let ip = bs_permute(&pt_word, 64, &IP);
         let mut r: [LaneBit; 32] = ip[..32].try_into().expect("R half");
         let mut l: [LaneBit; 32] = ip[32..].try_into().expect("L half");
-        push_hw(&mut counters.reg, &l);
-        push_hw(&mut counters.reg, &r);
-        push_hw(&mut counters.comb, &pt_word);
+        t.hw(&l).hw(&r).feed(&mut counters.reg);
+        t.hw(&pt_word).feed(&mut counters.comb);
         counters.end_cycle();
 
         let mut ir = [LaneBit::default(); 48];
@@ -448,41 +501,41 @@ impl BitslicedDes {
             let (_, pm, mm) = rnd.round_pool(round);
 
             // Cycle 0: IR load; AND/XOR/MUX-1 evaluate combinationally.
+            // The round's 272 gadget exposures go to their counters in
+            // one slice each.
             let e = bs_permute(&r, 32, &E);
             let mixed: [LaneBit; 48] = std::array::from_fn(|i| e[i].xor(rk[i]));
-            push_hd(&mut counters.reg, &ir, &mixed);
+            t.hd(&ir, &mixed);
             ir = mixed;
-            let sout_raw = bs_sbox_layer(
-                &ir,
-                &pm,
-                &mm,
-                &mut traces,
-                Some((&mut counters.glitch, &mut counters.coupling)),
-            );
+            let sout_raw = bs_sbox_layer(&ir, &pm, &mm, &mut traces, Some(&mut exp));
+            exp.glitch.feed(&mut counters.glitch);
+            exp.coupling.feed(&mut counters.coupling);
             // The MUX-1 and XOR-stage outputs of all eight S-boxes, each
             // S-box's 4 + 16 in a row.
             let mids: [LaneBit; 8 * 20] = std::array::from_fn(|i| {
-                let (t, j) = (&traces[i / 20], i % 20);
+                let (tr, j) = (&traces[i / 20], i % 20);
                 if j < 4 {
-                    t.sel[j]
+                    tr.sel[j]
                 } else {
-                    t.mini_out[(j - 4) / 4][j % 4]
+                    tr.mini_out[(j - 4) / 4][j % 4]
                 }
             });
-            push_hd(&mut counters.reg, &mid_prev, &mids);
-            push_hw(&mut counters.comb, mids.iter().chain(traces.iter().flat_map(|t| &t.products)));
+            t.hd(&mid_prev, &mids).feed(&mut counters.reg);
+            t.hw(&mids);
+            for s in &traces {
+                t.hw(&s.products);
+            }
+            t.feed(&mut counters.comb);
             mid_prev = mids;
             counters.end_cycle();
 
             // Cycle 1: MUX stage 2/3, P, combine; state + key registers.
             // (The scalar core's key-register HD here brackets no
-            // rotation and is structurally zero — nothing to push.)
+            // rotation and is structurally zero — nothing to feed.)
             let fr = bs_permute(&sout_raw, 32, &P);
             let new_r: [LaneBit; 32] = std::array::from_fn(|i| l[i].xor(fr[i]));
-            push_hd(&mut counters.reg, &l, &r);
-            push_hd(&mut counters.reg, &r, &new_r);
-            push_hw(&mut counters.comb, &sout_raw);
-            push_hw(&mut counters.comb, &fr);
+            t.hd(&l, &r).hd(&r, &new_r).feed(&mut counters.reg);
+            t.hw(&sout_raw).hw(&fr).feed(&mut counters.comb);
             counters.end_cycle();
             l = r;
             r = new_r;

@@ -123,8 +123,20 @@ pub fn binomial(rng: &mut SmallRng, n: u32, p: f64) -> u32 {
 /// Exact inversion (the classic BINV walk): subtract pmf terms from one
 /// uniform until it is exhausted. Expected iterations = `n·q`.
 fn binomial_inversion(rng: &mut SmallRng, n: u32, q: f64) -> u32 {
-    let s = q / (1.0 - q);
-    let mut pr = (1.0 - q).powi(n as i32);
+    binv_walk(rng, n, q / (1.0 - q), pow_n(1.0 - q, n))
+}
+
+/// `base^n`, kept out of line: [`GlitchSampler`]'s table and
+/// [`binomial_inversion`] must round every power identically, which a
+/// call site that constant-folds `powi` would not guarantee.
+#[inline(never)]
+fn pow_n(base: f64, n: u32) -> f64 {
+    base.powi(n as i32)
+}
+
+/// The BINV walk from `pr = (1 − q)^n` with odds ratio `s = q/(1 − q)`.
+#[inline]
+fn binv_walk(rng: &mut SmallRng, n: u32, s: f64, mut pr: f64) -> u32 {
     let mut u: f64 = rng.random();
     let mut x = 0u32;
     while u > pr {
@@ -149,6 +161,60 @@ fn binomial_gaussian(rng: &mut SmallRng, n: u32, q: f64) -> u32 {
     (mean + sd * g + 0.5).floor().clamp(0.0, f64::from(n)) as u32
 }
 
+/// Largest exposure count one PD clock cycle can hold: 8 S-boxes × 34
+/// `secAND2` gadgets.
+const MAX_CYCLE_EXPOSURES: usize = 272;
+
+/// [`binomial`] for one fixed `p`, with its per-call set-up hoisted: the
+/// symmetry flip, the odds ratio, the inversion/Gaussian cutoff and a
+/// table of `(1 − q)^n` for every `n` up to [`MAX_CYCLE_EXPOSURES`] that
+/// inversion serves. Every draw equals `binomial(rng, n, p)` and consumes
+/// the same RNG words; counts the table does not cover, the Gaussian
+/// branch and the degenerate `p` go to [`binomial`] itself.
+#[derive(Debug, Clone)]
+struct GlitchSampler {
+    p: f64,
+    flip: bool,
+    s: f64,
+    /// `pr0[n] = (1 − q)^n` for the counts `1..pr0.len()` that take the
+    /// inversion branch (`pr0[0]` is unused: `n = 0` draws nothing).
+    pr0: Vec<f64>,
+}
+
+impl GlitchSampler {
+    /// The sampler for `Binomial(·, p)`.
+    fn new(p: f64) -> Self {
+        let flip = p > 0.5;
+        let q = if flip { 1.0 - p } else { p };
+        let len = if p > 0.0 && p < 1.0 {
+            // `n·q ≤ BINV_MAX_MEAN` holds for a prefix of the counts.
+            (0..=MAX_CYCLE_EXPOSURES as u32)
+                .take_while(|&n| f64::from(n) * q <= BINV_MAX_MEAN)
+                .count()
+        } else {
+            0
+        };
+        let pr0 = (0..len as u32).map(|n| pow_n(1.0 - q, n)).collect();
+        GlitchSampler { p, flip, s: q / (1.0 - q), pr0 }
+    }
+
+    /// Draw `Binomial(n, p)`: the value and RNG state [`binomial`] gives.
+    #[inline]
+    fn draw(&self, rng: &mut SmallRng, n: u32) -> u32 {
+        match self.pr0.get(n as usize) {
+            Some(&pr) if n > 0 => {
+                let x = binv_walk(rng, n, self.s, pr);
+                if self.flip {
+                    n - x
+                } else {
+                    x
+                }
+            }
+            _ => binomial(rng, n, self.p),
+        }
+    }
+}
+
 /// Converts per-cycle [`CycleRecord`]s into a noisy power trace.
 #[derive(Debug)]
 pub struct PowerModel {
@@ -160,6 +226,10 @@ pub struct PowerModel {
     pub pd: Option<PdLeakModel>,
     measurement: MeasurementModel,
     rng: SmallRng,
+    /// The glitch sampler of [`Self::trace_group_into`], built by the
+    /// first PD group (and rebuilt if `pd` changes its probability), so
+    /// building a model stays cheap.
+    glitch: Option<GlitchSampler>,
 }
 
 impl PowerModel {
@@ -171,6 +241,7 @@ impl PowerModel {
             pd: None,
             measurement: MeasurementModel::new(1.0, noise_sigma, 16, seed ^ 0x5f35),
             rng: SmallRng::seed_from_u64(seed ^ 0x1234_5678_9abc_def0),
+            glitch: None,
         }
     }
 
@@ -228,9 +299,9 @@ impl PowerModel {
     /// of the bitsliced TVLA pipeline (DESIGN.md §2.13).
     ///
     /// Stage 1 computes the deterministic base energies for all 64 lanes
-    /// at once, straight off the sample-major count planes (one
-    /// contiguous, autovectorised sweep — the counting is already done
-    /// inside [`SegLaneCounter`]). Stage 2 prefills one
+    /// at once, straight off the sample-major count planes (the counting
+    /// is already done inside [`SegLaneCounter`]), eight cycles at a time
+    /// through a stack tile into lane-major rows. Stage 2 prefills one
     /// measurement-noise tile for the whole group with a single bulk
     /// ziggurat fill. Stage 3 finishes each of the first `lanes` lanes in
     /// label order and hands the trace to `emit(lane, trace)`.
@@ -259,15 +330,34 @@ impl PowerModel {
         let glitch = counters.glitch.finish();
         let coupling = counters.coupling.finish();
 
-        // Stage 1: base energies for the full 64-lane width, sample-major
-        // (`energy[cycle * LANES + lane]`). Idle lanes compute values that
-        // are never read; the branch-free full-width loop vectorises.
-        if scratch.energy.len() != n * LANES {
-            scratch.energy.resize(n * LANES, 0.0);
+        // Stage 1: base energies for the full 64-lane width, eight cycles
+        // at a time: a contiguous, autovectorised sweep over the
+        // sample-major counts into a stack tile, then an 8×8-blocked
+        // transpose of the tile into lane-major rows
+        // (`et[lane * n + cycle]`). Idle lanes compute values that are
+        // never read. The finishing loops below then stream unit-stride;
+        // walking one lane through the sample-major layout would stride
+        // 64 elements per sample, which defeated vectorisation and burned
+        // one cache line per sample per lane.
+        if scratch.et.len() != n * LANES {
+            scratch.et.resize(n * LANES, 0.0);
         }
         let (rw, cw) = (self.reg_weight, self.comb_weight);
-        for ((e, &r), &c) in scratch.energy.iter_mut().zip(reg).zip(comb) {
-            *e = rw * f64::from(r) + cw * f64::from(c);
+        let mut tile = [0.0f64; 8 * LANES];
+        for cb in (0..n).step_by(8) {
+            let rows = (n - cb).min(8);
+            let tile = &mut tile[..rows * LANES];
+            let counts = reg[cb * LANES..].iter().zip(&comb[cb * LANES..]);
+            for (e, (&r, &c)) in tile.iter_mut().zip(counts) {
+                *e = rw * f64::from(r) + cw * f64::from(c);
+            }
+            for lb in (0..LANES).step_by(8) {
+                for c in 0..rows {
+                    for l in lb..lb + 8 {
+                        scratch.et[l * n + cb + c] = tile[c * LANES + l];
+                    }
+                }
+            }
         }
 
         // Stage 2: one noise tile per group, lane-major
@@ -281,46 +371,28 @@ impl PowerModel {
             self.measurement.fill_gauss(&mut scratch.noise[..lanes * n]);
         }
 
-        // Stage 3a: 8×8-blocked transpose of the base energies to
-        // lane-major rows (`et[lane * n + cycle]`). The finishing loops
-        // below then stream unit-stride — the 512-byte column stride of
-        // the sample-major planes defeated vectorisation and burned one
-        // cache line per sample per lane.
-        if scratch.et.len() != n * LANES {
-            scratch.et.resize(n * LANES, 0.0);
-        }
-        let full = n - n % 8;
-        for cb in (0..full).step_by(8) {
-            for lb in (0..LANES).step_by(8) {
-                for c in cb..cb + 8 {
-                    for l in lb..lb + 8 {
-                        scratch.et[l * n + c] = scratch.energy[c * LANES + l];
-                    }
-                }
-            }
-        }
-        for c in full..n {
-            for l in 0..LANES {
-                scratch.et[l * n + c] = scratch.energy[c * LANES + l];
-            }
-        }
-
-        // Stage 3b: per-lane finish in label order, in place over each
+        // Stage 3: per-lane finish in label order, in place over each
         // lane's `et` row. The glitch binomial stays serial here — it
         // consumes a data-dependent number of RNG words — but it runs on
-        // count planes directly, no records; the FF combine is a pure
-        // element-wise sweep over two unit-stride rows and vectorises.
+        // count planes directly, no records, through the fixed-`p`
+        // sampler's table; the FF combine is a pure element-wise sweep
+        // over two unit-stride rows and vectorises.
+        if let Some(pd) = self.pd {
+            let p = pd.order_violation_prob;
+            if self.glitch.as_ref().is_none_or(|g| g.p.to_bits() != p.to_bits()) {
+                self.glitch = Some(GlitchSampler::new(p));
+            }
+        }
         let gain = self.measurement.gain;
         let fs = self.measurement.full_scale();
         for l in 0..lanes {
             let row = &mut scratch.et[l * n..][..n];
             let noise_row: &[f64] = if sigma > 0.0 { &scratch.noise[l * n..][..n] } else { &[] };
-            if let Some(pd) = self.pd {
+            if let (Some(pd), Some(sampler)) = (self.pd, &self.glitch) {
                 for (c, e) in row.iter_mut().enumerate() {
                     let mut p = *e;
                     if pd.order_violation_prob > 0.0 {
-                        let violated =
-                            binomial(&mut self.rng, glitch[c * LANES + l], pd.order_violation_prob);
+                        let violated = sampler.draw(&mut self.rng, glitch[c * LANES + l]);
                         p += pd.glitch_gain * f64::from(violated);
                     }
                     p += pd.coupling_eps * f64::from(coupling[c * LANES + l]);
@@ -346,11 +418,10 @@ impl PowerModel {
 }
 
 /// Reusable workspace for [`PowerModel::trace_group_into`]: the group's
-/// sample-major base energies, their lane-major transpose (finished in
-/// place into the emitted traces), and the lane-major noise tile.
+/// lane-major base energies (finished in place into the emitted traces)
+/// and the lane-major noise tile.
 #[derive(Debug, Default)]
 pub struct GroupScratch {
-    energy: Vec<f64>,
     et: Vec<f64>,
     noise: Vec<f64>,
 }
@@ -482,14 +553,13 @@ mod tests {
         let mut c = CycleLaneCounters::new();
         // Cycle 0: lane 0 gets 2 reg toggles, lane 63 one comb toggle,
         // lane 5 one glitch and one coupling unit.
-        c.reg.push(1);
-        c.reg.push(1);
-        c.comb.push(1 << 63);
-        c.glitch.push(1 << 5);
-        c.coupling.push(1 << 5);
+        c.reg.extend_from_slice(&[1, 1]);
+        c.comb.extend_from_slice(&[1 << 63]);
+        c.glitch.extend_from_slice(&[1 << 5]);
+        c.coupling.extend_from_slice(&[1 << 5]);
         c.end_cycle();
         // Cycle 1: everything quiet except lane 1.
-        c.reg.push(2);
+        c.reg.extend_from_slice(&[2]);
         c.end_cycle();
         c.finish();
         assert_eq!(c.num_cycles(), 2);
@@ -592,18 +662,49 @@ mod tests {
         }
     }
 
-    /// Push a deterministic multi-cycle activity pattern into counters.
-    fn synthetic_counters() -> CycleLaneCounters {
-        let mut c = CycleLaneCounters::new();
-        let mut word = 0x9e37_79b9_7f4a_7c15u64;
-        for cycle in 0..7 {
-            for _ in 0..(3 + cycle % 4) {
-                word = word.rotate_left(13) ^ 0xa076_1d64_78bd_642f;
-                c.reg.push(word);
-                c.comb.push(word.rotate_right(7));
-                c.glitch.push(word & 0x00ff_00ff_00ff_00ff);
-                c.coupling.push(word >> 1);
+    /// The fixed-`p` sampler draws exactly what [`binomial`] draws and
+    /// leaves the RNG in the same state: counts past the table end, every
+    /// DelayUnit size's probability, both sides of the symmetry flip and
+    /// the degenerate `p`.
+    #[test]
+    fn glitch_sampler_matches_binomial() {
+        // At 10 LUTs every count a PD cycle can hold is tabulated.
+        assert_eq!(GlitchSampler::new(order_violation_prob(10)).pr0.len(), MAX_CYCLE_EXPOSURES + 1);
+        let ps = [0.0].into_iter().chain((1..=10).map(order_violation_prob));
+        for p in ps.chain([0.4, 0.5, 0.7, 1.0]) {
+            let sampler = GlitchSampler::new(p);
+            for n in 0..=300u32 {
+                let mut got = SmallRng::seed_from_u64(p.to_bits() ^ u64::from(n));
+                let mut want = got.clone();
+                for _ in 0..32 {
+                    assert_eq!(sampler.draw(&mut got, n), binomial(&mut want, n, p), "p={p} n={n}");
+                }
+                assert_eq!(got, want, "RNG state after p={p} n={n}");
             }
+        }
+    }
+
+    /// Counters of a synthetic group: per cycle a few register and
+    /// combinational words, and `exposures[cycle]` glitch and coupling
+    /// words. The glitch density cycles from a quarter of the lanes to
+    /// all of them, so per-lane glitch counts run up to 272, the most one
+    /// PD cycle holds.
+    fn synthetic_counters(exposures: &[usize]) -> CycleLaneCounters {
+        let mut c = CycleLaneCounters::new();
+        let mut rng = SmallRng::seed_from_u64(0x9e37_79b9_7f4a_7c15);
+        let mut words = |n: usize, density: usize| -> Vec<u64> {
+            (0..n)
+                .map(|_| {
+                    let (x, y) = (rng.random::<u64>(), rng.random::<u64>());
+                    [x & y, x, x | y, u64::MAX][density]
+                })
+                .collect()
+        };
+        for (cycle, &e) in exposures.iter().enumerate() {
+            c.reg.extend_from_slice(&words(3 + cycle % 4, 1));
+            c.comb.extend_from_slice(&words(3 + cycle % 4, 1));
+            c.glitch.extend_from_slice(&words(e, cycle % 4));
+            c.coupling.extend_from_slice(&words(e, 1));
             c.end_cycle();
         }
         c.finish();
@@ -611,26 +712,27 @@ mod tests {
     }
 
     /// The lane-major group path must be BIT-identical to the per-lane
-    /// record demux + scalar trace chain, for both cores, with noise.
+    /// record demux + scalar trace chain, for both cores, with noise, at
+    /// glitch probabilities that take the table, the inversion walk far
+    /// past x = 0, the Gaussian branch and the symmetry flip.
     #[test]
     fn trace_group_into_bit_identical_to_lane_demux() {
-        let models: [fn() -> PowerModel; 2] = [
-            || PowerModel::ff(3.0, 42),
-            || {
+        let pd = |p: f64| {
+            move || {
                 PowerModel::pd(
-                    PdLeakModel {
-                        order_violation_prob: 0.4,
-                        glitch_gain: 6.0,
-                        coupling_eps: 0.048,
-                    },
+                    PdLeakModel { order_violation_prob: p, glitch_gain: 6.0, coupling_eps: 0.048 },
                     3.0,
                     42,
                 )
-            },
-        ];
+            }
+        };
+        let models: [&dyn Fn() -> PowerModel; 5] =
+            [&|| PowerModel::ff(3.0, 42), &pd(0.0016), &pd(0.03), &pd(0.28), &pd(0.7)];
+        // Eleven cycles: one energy tile of eight and a partial one.
+        let exposures = [0, 3, 40, 272, 136, 271, 272, 17, 5, 200, 64];
         for (mi, make) in models.iter().enumerate() {
             for lanes in [1usize, 5, 64] {
-                let mut counters = synthetic_counters();
+                let mut counters = synthetic_counters(&exposures);
                 let n = counters.num_cycles();
 
                 let mut scalar = make();
@@ -659,7 +761,7 @@ mod tests {
     fn skip_records_blocks_lane_demux() {
         let mut c = CycleLaneCounters::new();
         c.skip_records = true;
-        c.reg.push(1);
+        c.reg.extend_from_slice(&[1]);
         c.end_cycle();
         c.finish();
         assert_eq!(c.num_cycles(), 1);

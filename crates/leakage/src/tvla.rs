@@ -748,6 +748,11 @@ impl Campaign {
                                 break;
                             }
                         }
+                        // Flush this worker's spans before it reports: the
+                        // scope may join the thread before its TLS
+                        // destructor runs, and capture stops once every
+                        // worker has reported.
+                        gm_obs::trace::flush_thread();
                         let mut src_report = Report::new();
                         src.obs_report(&mut src_report);
                         let _ = obs_tx.send((w, tally.snapshot(w), src_report));

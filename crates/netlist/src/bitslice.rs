@@ -56,13 +56,22 @@ pub fn transpose64(a: &mut [u64; 64]) {
     }
 }
 
-/// Carry-save add of `x + y` into plane `p`: `p` keeps the sum bits and
-/// the carries (one weight up) are returned — one full adder per lane.
+/// Four words side by side: one 256-bit vector of the counter's 4-way
+/// carry-save trees.
+type Quad = [u64; 4];
+
+/// Carry-save add of `x + y` into plane `p`, four words at a time: `p`
+/// keeps the sum bits and the carries (one weight up) are returned — one
+/// full adder per bit. LLVM lowers the elementwise loop to 256-bit
+/// vector operations.
 #[inline(always)]
-fn csa(p: &mut u64, x: u64, y: u64) -> u64 {
-    let u = *p ^ x;
-    let carry = (*p & x) | (u & y);
-    *p = u ^ y;
+fn csa(p: &mut Quad, x: Quad, y: Quad) -> Quad {
+    let mut carry = [0; 4];
+    for j in 0..4 {
+        let u = p[j] ^ x[j];
+        carry[j] = (p[j] & x[j]) | (u & y[j]);
+        p[j] = u ^ y[j];
+    }
     carry
 }
 
@@ -70,27 +79,31 @@ fn csa(p: &mut u64, x: u64, y: u64) -> u64 {
 /// into consecutive *segments* (one per clock cycle in the cycle engines).
 ///
 /// Hamming weights/distances of share words are the cycle model's power
-/// terms; per lane they are `count_ones` over the *columns* of the pushed
+/// terms; per lane they are `count_ones` over the *columns* of the fed
 /// words. The counter never transposes the toggle words themselves: it
 /// keeps the open segment's per-lane counts as a carry-save positional
 /// popcount, where plane `i` bit `ℓ` is bit `i` of lane `ℓ`'s running
-/// count. Pushed words are buffered 16 at a time and folded by a
-/// Harley–Seal tree of carry-save adders into the planes of weight 1, 2,
-/// 4 and 8; the tree's weight-16 carry ripples into the planes above.
-/// That is about five word operations per pushed word.
+/// count. Words are folded 64 at a time by four interleaved Harley–Seal
+/// trees of carry-save adders, one per word position mod 4, which run as
+/// one tree over 256-bit vectors. Each tree keeps its own planes of
+/// weight 1, 2, 4 and 8; its weight-16 carry ripples into the planes
+/// above. That is about 1.2 vector operations per word.
 ///
-/// [`Self::mark`] zero-pads and folds the segment's last block, then
-/// appends its `k = bit_length(words in segment)` count planes to a
-/// 64-plane buffer (a segment with no words appends none). Only when the
-/// buffer fills, and at [`Self::finish`], is it transposed, once: lane
-/// `ℓ`'s count for a segment is then the plain `k`-bit field of column
-/// `ℓ` at the segment's plane offset. A 115-cycle FF group pays a few
-/// transposes per counter, not one per 64 pushed words.
+/// [`Self::extend_from_slice`] is the only feed. It folds whole blocks
+/// straight from the caller's slice and the rest as one zero-padded
+/// block. [`Self::mark`] adds the four trees' planes with a ripple adder
+/// into the segment's `k = bit_length(words in segment)` count planes,
+/// which go to a 64-plane buffer (a segment with no words adds none).
+/// Only when the buffer fills, and at [`Self::finish`], is it
+/// transposed, once: lane `ℓ`'s count for a segment is then the plain
+/// `k`-bit field of column `ℓ` at the segment's plane offset. A
+/// 115-cycle FF group pays a few transposes per counter, not one per 64
+/// words.
 #[derive(Debug, Default)]
 pub struct SegLaneCounter {
-    /// Word and plane buffers, allocated by the first pushed word. Boxed
-    /// so that building a counter stays a handful of stores: a cycle
-    /// source holds four, and a campaign builds one source per worker.
+    /// Plane buffers, allocated by the first word. Boxed so that
+    /// building a counter stays a handful of stores: a cycle source holds
+    /// four, and a campaign builds one source per worker.
     st: Option<Box<Planes>>,
     /// Index of the open segment.
     open: u32,
@@ -100,18 +113,17 @@ pub struct SegLaneCounter {
     segments: Counter,
 }
 
-/// The word and plane buffers of a [`SegLaneCounter`].
+/// The plane buffers of a [`SegLaneCounter`].
 #[derive(Debug)]
 struct Planes {
-    /// The open segment's words not yet folded: `blk[..nb]`.
-    blk: [u64; 16],
-    nb: usize,
-    /// The open segment's count planes, `acc[i]` of weight `2^i`: counts
-    /// are `u32`, so a segment holds fewer than `2^32` words.
-    acc: [u64; 32],
-    /// Planes above weight 8 in use: `acc[4..4 + hi]`.
-    hi: usize,
-    /// Words pushed to the open segment.
+    /// The open segment's four partial counts: `acc[i][j]` is plane `i`
+    /// (weight `2^i`) of the tree over words `≡ j (mod 4)`. Counts are
+    /// `u32`, so a segment holds fewer than `2^32` words.
+    acc: [Quad; 32],
+    /// Planes of `acc` in use: the tree's four, and those above weight 8
+    /// that its carries have reached.
+    np: usize,
+    /// Words fed to the open segment.
     seg_words: u64,
     /// Count planes of closed segments awaiting the transpose:
     /// `planes[..used]`.
@@ -157,10 +169,8 @@ impl Counts {
 impl Planes {
     fn new() -> Self {
         Planes {
-            blk: [0; 16],
-            nb: 0,
-            acc: [0; 32],
-            hi: 0,
+            acc: [[0; 4]; 32],
+            np: 4,
             seg_words: 0,
             planes: [0; 64],
             used: 0,
@@ -169,69 +179,51 @@ impl Planes {
         }
     }
 
-    /// Push every word of `words`; returns how many there were.
-    #[inline]
-    fn extend<I: IntoIterator<Item = u64>>(&mut self, words: I) -> u64 {
-        let mut nb = self.nb;
-        let mut count = 0u64;
-        words.into_iter().for_each(|w| {
-            self.blk[nb] = w;
-            nb += 1;
-            count += 1;
-            if nb == 16 {
-                self.fold();
-                nb = 0;
-            }
-        });
-        self.nb = nb;
-        self.seg_words += count;
-        count
-    }
-
-    /// Fold the 16 words of `blk` into the count planes.
-    fn fold(&mut self) {
-        let b = &self.blk;
-        let [ones, twos, fours, eights, high @ ..] = &mut self.acc;
-        let mut e = [0u64; 2];
-        for (h, e) in e.iter_mut().enumerate() {
-            let mut f = [0u64; 2];
-            for (q, f) in f.iter_mut().enumerate() {
-                let i = 8 * h + 4 * q;
-                let ta = csa(ones, b[i], b[i + 1]);
-                let tb = csa(ones, b[i + 2], b[i + 3]);
-                *f = csa(twos, ta, tb);
-            }
-            *e = csa(fours, f[0], f[1]);
+    /// Add every word of `words` to the open segment: whole blocks fold
+    /// straight from the slice, the rest as a zero-padded block (zero
+    /// words count nothing).
+    fn extend(&mut self, words: &[u64]) {
+        self.seg_words += words.len() as u64;
+        let mut blocks = words.chunks_exact(64);
+        for b in &mut blocks {
+            fold(&mut self.acc, &mut self.np, b.try_into().expect("64-word block"));
         }
-        let mut carry = csa(eights, e[0], e[1]);
-        for p in &mut high[..self.hi] {
-            let c = *p & carry;
-            *p ^= carry;
-            carry = c;
-        }
-        if carry != 0 {
-            high[self.hi] = carry;
-            self.hi += 1;
+        let rest = blocks.remainder();
+        if !rest.is_empty() {
+            let mut b = [0; 64];
+            b[..rest.len()].copy_from_slice(rest);
+            fold(&mut self.acc, &mut self.np, &b);
         }
     }
 
-    /// Fold the open segment's last words and return its plane count `k`.
-    fn close(&mut self) -> usize {
-        if self.nb > 0 {
-            self.blk[self.nb..].fill(0);
-            self.fold();
-            self.nb = 0;
+    /// Count planes the open segment needs: `bit_length(words)`.
+    fn planes_needed(&self) -> usize {
+        (u64::BITS - self.seg_words.leading_zeros()) as usize
+    }
+
+    /// Close the open segment `seg`, which needs `k > 0` planes and has
+    /// room for them in the plane buffer: add its four partial counts
+    /// into its count planes, and open an empty segment.
+    fn close(&mut self, seg: u32, k: usize) {
+        // Two ripple adders in one pass: words 0 + 2 and 1 + 3 side by
+        // side, then the two sums. Every partial and both sums are at
+        // most the segment's word count, so `k` planes hold them all.
+        let (mut c2, mut c) = ([0u64; 2], 0u64);
+        for (i, out) in self.planes[self.used..][..k].iter_mut().enumerate() {
+            let a = self.acc[i];
+            let mut s = [0u64; 2];
+            for j in 0..2 {
+                let (x, y) = (a[j], a[j + 2]);
+                s[j] = x ^ y ^ c2[j];
+                c2[j] = (x & y) | (c2[j] & (x ^ y));
+            }
+            *out = s[0] ^ s[1] ^ c;
+            c = (s[0] & s[1]) | (c & (s[0] ^ s[1]));
         }
-        let k = (u64::BITS - self.seg_words.leading_zeros()) as usize;
+        debug_assert_eq!((c2, c), ([0; 2], 0), "a count overflowed its k planes");
+        self.acc[..self.np].fill([0; 4]);
+        self.np = 4;
         self.seg_words = 0;
-        self.hi = 0;
-        k
-    }
-
-    /// Move the closed segment `seg`'s `k` count planes to the buffer.
-    fn append(&mut self, seg: u32, k: usize) {
-        self.planes[self.used..][..k].copy_from_slice(&self.acc[..k]);
-        self.acc[..k].fill(0);
         self.pend[self.npend] = (seg, self.used as u8, k as u8);
         self.npend += 1;
         self.used += k;
@@ -258,15 +250,48 @@ impl Planes {
     }
 }
 
+/// Fold one 64-word block into the four partial counts `acc[..np]`:
+/// sixteen quads of words through one Harley–Seal tree, the weight-16
+/// carry rippled into the planes above weight 8.
+#[inline]
+fn fold(acc: &mut [Quad; 32], np: &mut usize, b: &[u64; 64]) {
+    let q = |i: usize| -> Quad { [b[4 * i], b[4 * i + 1], b[4 * i + 2], b[4 * i + 3]] };
+    let [ones, twos, fours, eights, high @ ..] = acc;
+    let mut e = [[0; 4]; 2];
+    for (h, e) in e.iter_mut().enumerate() {
+        let mut f = [[0; 4]; 2];
+        for (g, f) in f.iter_mut().enumerate() {
+            let i = 8 * h + 4 * g;
+            let ta = csa(ones, q(i), q(i + 1));
+            let tb = csa(ones, q(i + 2), q(i + 3));
+            *f = csa(twos, ta, tb);
+        }
+        *e = csa(fours, f[0], f[1]);
+    }
+    let mut carry = csa(eights, e[0], e[1]);
+    for p in &mut high[..*np - 4] {
+        let mut c = [0; 4];
+        for j in 0..4 {
+            c[j] = p[j] & carry[j];
+            p[j] ^= carry[j];
+        }
+        carry = c;
+    }
+    if carry != [0; 4] {
+        high[*np - 4] = carry;
+        *np += 1;
+    }
+}
+
 impl SegLaneCounter {
     /// An empty counter with no closed segments.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Lifetime count of pushed toggle words (0 under `obs-off`).
-    /// Survives [`Self::reset`]: campaign engines reset per trace group
-    /// but report per campaign.
+    /// Lifetime count of fed toggle words (0 under `obs-off`). Survives
+    /// [`Self::reset`]: campaign engines reset per trace group but
+    /// report per campaign.
     pub fn obs_words(&self) -> u64 {
         self.words.get()
     }
@@ -291,27 +316,21 @@ impl SegLaneCounter {
         self.counts.written = 0;
     }
 
-    fn state(&mut self) -> &mut Planes {
-        self.st.get_or_insert_with(|| Box::new(Planes::new()))
-    }
-
-    /// Add one toggle word to the open segment: lane `ℓ` gains
-    /// `(w >> ℓ) & 1`.
-    #[inline]
-    pub fn push(&mut self, w: u64) {
-        self.extend([w]);
-    }
-
-    /// Append every word yielded by `words` to the open segment — the
-    /// batched form of [`Self::push`], identical in effect.
+    /// Add toggle words to the open segment: word `w` adds `(w >> ℓ) & 1`
+    /// to lane `ℓ`'s count. Only which words a segment gets matters, not
+    /// their order or how they are split across calls.
     ///
-    /// The bitsliced cycle engines push hundreds of words per clock
-    /// cycle; batching keeps the block index and word count in registers
-    /// for the whole run instead of updating them per word.
+    /// A call's last words fold as a zero-padded 64-word block, so a
+    /// segment costs least when fed in one slice: the bitsliced cycle
+    /// engines feed each cycle's hundreds of words per counter in one
+    /// call.
     #[inline]
-    pub fn extend<I: IntoIterator<Item = u64>>(&mut self, words: I) {
-        let count = self.state().extend(words);
-        self.words.add(count);
+    pub fn extend_from_slice(&mut self, words: &[u64]) {
+        if words.is_empty() {
+            return;
+        }
+        self.words.add(words.len() as u64);
+        self.st.get_or_insert_with(|| Box::new(Planes::new())).extend(words);
     }
 
     /// Close the open segment at the current position and open the next.
@@ -319,13 +338,13 @@ impl SegLaneCounter {
     pub fn mark(&mut self) {
         self.segments.inc();
         if let Some(st) = self.st.as_deref_mut() {
-            let k = st.close();
+            let k = st.planes_needed();
             if k > 0 {
                 if st.used + k > 64 {
                     self.transposes.inc();
                     st.transpose_into(&mut self.counts);
                 }
-                st.append(self.open, k);
+                st.close(self.open, k);
             }
         }
         self.open += 1;
@@ -337,7 +356,7 @@ impl SegLaneCounter {
     }
 
     /// Return the per-lane counts of every *closed* segment,
-    /// segment-major (`counts[seg * 64 + lane]`). Words pushed after the
+    /// segment-major (`counts[seg * 64 + lane]`). Words fed after the
     /// last [`Self::mark`] keep accumulating in the open segment and are
     /// not part of the returned view.
     pub fn finish(&mut self) -> &[u32] {
@@ -568,13 +587,14 @@ mod tests {
     fn seg_counter_segments_independent() {
         let mut c = SegLaneCounter::new();
         // Segment 0: three words, lane 0 always set, lane 5 once.
-        c.push(1);
-        c.extend([1 | (1 << 5), 1]);
+        c.extend_from_slice(&[1]);
+        c.extend_from_slice(&[1 | (1 << 5), 1]);
         c.mark();
         // Segment 1: two words, lane 0 clear, lane 63 both times.
-        c.extend([1 << 63, 1 << 63]);
+        c.extend_from_slice(&[1 << 63, 1 << 63]);
         c.mark();
         // Segment 2: empty (a cycle in which a counter saw no words).
+        c.extend_from_slice(&[]);
         c.mark();
         assert_eq!(c.num_segments(), 3);
         let counts = c.finish();
@@ -586,8 +606,9 @@ mod tests {
         assert!(counts[2 * LANES..].iter().all(|&c| c == 0), "empty segment");
     }
 
-    /// Segment sizes around the 16-word block and the 64-plane buffer.
-    const SEG_SIZES: [usize; 10] = [0, 1, 15, 16, 17, 63, 64, 65, 256, 700];
+    /// Segment sizes around the 64-word block and the 64-plane buffer,
+    /// and one long enough to carry into the planes above weight 128.
+    const SEG_SIZES: [usize; 13] = [0, 1, 15, 16, 17, 63, 64, 65, 127, 128, 129, 700, 1100];
 
     /// One word of density class `d`: a single set lane, an eighth, a
     /// half, seven eighths, or every lane.
@@ -605,9 +626,10 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(96))]
 
         /// The counter equals the naive per-bit count over random streams:
-        /// every segment size class, sparse and dense words, `push` and
-        /// `extend` mixed, `finish` with words in the open segment and
-        /// again after more marks, and `reset`.
+        /// every segment size class, sparse and dense words, each segment
+        /// fed in one slice, one word at a time, or split at random
+        /// points, `finish` with words in the open segment and again after
+        /// more marks, and `reset`.
         #[test]
         fn counter_matches_naive_oracle(
             plan in proptest::collection::vec(
@@ -622,13 +644,17 @@ mod tests {
                 let words: Vec<u64> = (0..SEG_SIZES[size])
                     .map(|_| word(density, rng.random(), rng.random(), rng.random()))
                     .collect();
-                let (head, tail) = words.split_at(words.len() / 2);
                 match how {
-                    0 => c.extend(words.iter().copied()),
-                    1 => words.iter().for_each(|&w| c.push(w)),
+                    0 => c.extend_from_slice(&words),
+                    1 => words.chunks(1).for_each(|w| c.extend_from_slice(w)),
                     _ => {
-                        c.extend(head.iter().copied());
-                        tail.iter().for_each(|&w| c.push(w));
+                        let mut rest = &words[..];
+                        while !rest.is_empty() {
+                            let cut = rng.random::<u64>() % (rest.len() as u64 + 1);
+                            let (head, tail) = rest.split_at(cut as usize);
+                            c.extend_from_slice(head);
+                            rest = tail;
+                        }
                     }
                 }
                 if event == 0 {
@@ -665,7 +691,7 @@ mod tests {
         // Ten 100-word segments of 7 planes each: nine fill 63 planes,
         // the tenth forces a transpose, `finish` pays the second.
         for _ in 0..10 {
-            s.extend([1u64; 100]);
+            s.extend_from_slice(&[1u64; 100]);
             s.mark();
         }
         s.mark(); // empty: no planes

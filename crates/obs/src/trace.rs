@@ -26,10 +26,13 @@
 //! but `--trace-out` plumbing keeps compiling (it just writes an empty
 //! trace).
 //!
-//! Threads that are still alive and have not filled their ring when
-//! [`stop_capture`] runs contribute nothing; the campaign drivers stop
-//! capture only after their scoped worker pools have exited, at which
-//! point every worker's ring has been flushed by its TLS destructor.
+//! Threads that have not flushed their ring when [`stop_capture`] runs
+//! contribute nothing from it. A thread's TLS destructor flushes its ring
+//! when the thread exits, but `std::thread::scope` may return before
+//! that destructor has run, so a joined scope does not guarantee the
+//! flush. Worker threads therefore call [`flush_thread`] when their work
+//! ends: the campaign pool's workers flush before they report, and the
+//! campaign binaries stop capture only after every worker has reported.
 
 /// One begin or end edge of a named span.
 ///
@@ -175,6 +178,16 @@ mod live {
         CAPTURING.store(true, Ordering::SeqCst);
     }
 
+    /// Flush the calling thread's ring into the global store now, rather
+    /// than when the thread exits. Only one relaxed load while capture
+    /// is disarmed, so an untraced campaign's workers never allocate a
+    /// ring.
+    pub fn flush_thread() {
+        if capturing() {
+            RING.with(|ring| flush_batch(&mut ring.borrow_mut().events));
+        }
+    }
+
     /// Disarm capture and return every event flushed to the global store
     /// (plus the calling thread's ring), ordered by flush batch.
     pub fn stop_capture() -> Vec<SpanEvent> {
@@ -217,6 +230,10 @@ mod off {
     #[inline(always)]
     pub fn start_capture() {}
 
+    /// No-op under `obs-off`.
+    #[inline(always)]
+    pub fn flush_thread() {}
+
     /// Always empty under `obs-off`.
     #[inline(always)]
     pub fn stop_capture() -> Vec<SpanEvent> {
@@ -231,9 +248,13 @@ mod off {
 }
 
 #[cfg(not(feature = "obs-off"))]
-pub use live::{capturing, dropped_events, span, start_capture, stop_capture, TraceSpan};
+pub use live::{
+    capturing, dropped_events, flush_thread, span, start_capture, stop_capture, TraceSpan,
+};
 #[cfg(feature = "obs-off")]
-pub use off::{capturing, dropped_events, span, start_capture, stop_capture, TraceSpan};
+pub use off::{
+    capturing, dropped_events, flush_thread, span, start_capture, stop_capture, TraceSpan,
+};
 
 /// Serialize recorded events as Chrome trace-event JSON (the
 /// `{"traceEvents": [...]}` object form; load in `chrome://tracing` or
@@ -346,7 +367,10 @@ mod tests {
             std::thread::scope(|s| {
                 for _ in 0..3 {
                     s.spawn(|| {
-                        let _s = span("test.worker");
+                        {
+                            let _s = span("test.worker");
+                        }
+                        flush_thread();
                     });
                 }
             });
@@ -390,6 +414,7 @@ mod tests {
             {
                 let _s = span("off.site");
             }
+            flush_thread();
             assert!(stop_capture().is_empty());
             assert_eq!(dropped_events(), 0);
         }

@@ -36,6 +36,8 @@ pub struct BitClockedSim<'a> {
     netlist: &'a Netlist,
     ev: BitEvaluator,
     cycle: u64,
+    /// Pre-edge register and combinational-net words of the current
+    /// step, turned into its toggle words after the edge.
     prev_ff: Vec<u64>,
     prev_values: Vec<u64>,
     comb_nets: Vec<NetId>,
@@ -64,7 +66,7 @@ impl<'a> BitClockedSim<'a> {
         let num_ffs = ev.ff_gates().len();
         Ok(BitClockedSim {
             prev_ff: vec![0; num_ffs],
-            prev_values: vec![0; netlist.num_nets()],
+            prev_values: vec![0; comb_nets.len()],
             comb_nets,
             netlist,
             ev,
@@ -133,11 +135,16 @@ impl<'a> BitClockedSim<'a> {
         self.cycle += 1;
         self.steps.inc();
 
+        // The pre-edge snapshots become the edge's toggle words in place.
         let ev = &self.ev;
-        self.reg_counter
-            .extend(ev.ff_gates().iter().zip(&self.prev_ff).map(|(&g, &p)| p ^ ev.ff_state(g)));
-        self.comb_counter
-            .extend(self.comb_nets.iter().zip(&self.prev_values).map(|(&n, &p)| p ^ ev.value(n)));
+        for (p, &g) in self.prev_ff.iter_mut().zip(ev.ff_gates()) {
+            *p ^= ev.ff_state(g);
+        }
+        for (p, &n) in self.prev_values.iter_mut().zip(&self.comb_nets) {
+            *p ^= ev.value(n);
+        }
+        self.reg_counter.extend_from_slice(&self.prev_ff);
+        self.comb_counter.extend_from_slice(&self.prev_values);
         LaneActivity {
             reg: edge_counts(&mut self.reg_counter),
             comb: edge_counts(&mut self.comb_counter),
