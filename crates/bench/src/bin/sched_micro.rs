@@ -6,18 +6,15 @@
 //!
 //! ```text
 //! cargo run --release -p gm-bench --bin sched_micro -- \
-//!     [--traces PASSES] [--scalar] [--metrics PATH] [--progress]
+//!     [--traces PASSES] [--metrics PATH] [--progress]
 //! ```
 //!
 //! `--traces` counts *passes* here (64 lanes each; default 20 000).
-//! `--scalar` forces the in-loop scalar jitter draw instead of the
-//! batched tile sampler (bit-identical output either way).
-//! `GM_REPAIR_BATCH=0` forces the legacy inline per-lane fallback in
-//! place of the deferred batched drain (bit-identical output either
-//! way — the checksum printed below must not move under either knob).
-//! The draw-count and repair/pack breakdowns come from the runner's own
-//! `sim.sched.*` / `sim.pack.*` counters and land in the `--metrics`
-//! JSONL, not just stdout.
+//! Divergent lanes of each pass are queued and drained in one batch on
+//! the scalar wheel, as the campaign sources do. The draw-count and
+//! repair/pack breakdowns come from the runner's own `sim.sched.*` /
+//! `sim.pack.*` counters and land in the `--metrics` JSONL, not just
+//! stdout.
 
 use gm_bench::{Args, MetricsSink};
 use gm_core::gadgets::sec_and2_pd::{build_sec_and2_pd, PdConfig};
@@ -25,8 +22,7 @@ use gm_core::gadgets::AndInputs;
 use gm_netlist::{NetId, Netlist};
 use gm_obs::Report;
 use gm_sim::{
-    repair_batch_enabled, set_wide_jitter, CompiledSchedule, DelayModel, LaneEnergy, RepairQueue,
-    SchedRunner, SimCore, SimGraph, LANES,
+    CompiledSchedule, DelayModel, LaneEnergy, RepairQueue, SchedRunner, SimCore, SimGraph, LANES,
 };
 use std::time::Instant;
 
@@ -55,8 +51,6 @@ fn scalar_energy(
 fn main() {
     let args = Args::parse();
     let passes: u64 = args.trace_count(2_000, 20_000);
-    set_wide_jitter(!args.scalar);
-    let batch = repair_batch_enabled();
     let mut sink = MetricsSink::from_args("sched_micro", &args);
 
     let mut n = Netlist::new("pd");
@@ -73,12 +67,10 @@ fn main() {
     let stim_nets = [io.x0, io.x1, io.y0, io.y1];
     let sched = CompiledSchedule::compile(&graph, &delays, &stims).expect("compiles");
     println!(
-        "schedule: {} nodes, {} stims, {} jitter slots ({} jitter, {} repair)",
+        "schedule: {} nodes, {} stims, {} jitter slots",
         sched.num_nodes(),
         sched.num_stims(),
         sched.num_jitter_slots(),
-        if args.scalar { "scalar" } else { "wide" },
-        if batch { "batched" } else { "inline" },
     );
 
     let mut runner = SchedRunner::new();
@@ -136,46 +128,32 @@ fn main() {
             if let Some(t) = t_pack {
                 pack_dt += t.elapsed().as_secs_f64();
             }
-            // Fallback phase: repair the divergent lanes, batched or
-            // inline, and fold their scalar energies into the checksum.
+            // Fallback phase: repair the divergent lanes in one batch and
+            // fold their scalar energies into the checksum.
             if div != 0 {
                 let t_fb = measure.then(Instant::now);
-                if batch {
-                    for (l, &seed) in seeds.iter().enumerate() {
-                        if div >> l & 1 != 0 {
-                            let mut sb = 0u32;
-                            for (s, &v) in stim_values.iter().enumerate() {
-                                sb |= ((v >> l as u64 & 1) as u32) << s;
-                            }
-                            repairs.push(seed, sb, l as u32);
+                for (l, &seed) in seeds.iter().enumerate() {
+                    if div >> l & 1 != 0 {
+                        let mut sb = 0u32;
+                        for (s, &v) in stim_values.iter().enumerate() {
+                            sb |= ((v >> l as u64 & 1) as u32) << s;
                         }
-                    }
-                    let mut repaired = 0.0f64;
-                    repairs.drain(&mut runner.stats, |t| {
-                        repaired += scalar_energy(
-                            sim,
-                            &graph,
-                            &delays,
-                            stim_nets,
-                            window_ps,
-                            t.stim_bits,
-                            t.seed,
-                        );
-                    });
-                    energy += repaired;
-                } else {
-                    for (l, &seed) in seeds.iter().enumerate() {
-                        if div >> l & 1 != 0 {
-                            let _fb = runner.stats.fallback_ns.span();
-                            let mut sb = 0u32;
-                            for (s, &v) in stim_values.iter().enumerate() {
-                                sb |= ((v >> l as u64 & 1) as u32) << s;
-                            }
-                            energy +=
-                                scalar_energy(sim, &graph, &delays, stim_nets, window_ps, sb, seed);
-                        }
+                        repairs.push(seed, sb, l as u32);
                     }
                 }
+                let mut repaired = 0.0f64;
+                repairs.drain(&mut runner.stats, |t| {
+                    repaired += scalar_energy(
+                        sim,
+                        &graph,
+                        &delays,
+                        stim_nets,
+                        window_ps,
+                        t.stim_bits,
+                        t.seed,
+                    );
+                });
+                energy += repaired;
                 if let Some(t) = t_fb {
                     fallback_dt += t.elapsed().as_secs_f64();
                 }

@@ -5,7 +5,7 @@
 
 use gm_bench::{Args, MetricsSink};
 use gm_des::tvla_src::{AnyCycleSource, CoreVariant, GateLevelSource, SourceConfig};
-use gm_leakage::tvla::{BlockLayout, Class, TraceSource};
+use gm_leakage::tvla::{Class, TraceSource};
 use std::time::Instant;
 
 /// Time an alternating fixed/random block acquisition (the campaign's
@@ -14,12 +14,7 @@ fn time_block<S: TraceSource>(src: &mut S, traces: usize) -> f64 {
     let ns = src.num_samples();
     let labels: Vec<Class> =
         (0..traces).map(|i| if i % 2 == 0 { Class::Fixed } else { Class::Random }).collect();
-    // Sample-major sources scatter at stride = labels.len(), so each
-    // class tile must hold the full label count per sample row.
-    let (nf, nr) = match src.block_layout() {
-        BlockLayout::RowMajor => (traces.div_ceil(2), traces / 2),
-        BlockLayout::SampleMajor => (traces, traces),
-    };
+    let (nf, nr) = (traces.div_ceil(2), traces / 2);
     let mut fixed = vec![0.0; nf * ns];
     let mut random = vec![0.0; nr * ns];
     let start = Instant::now();

@@ -1,7 +1,8 @@
 //! Phase-attribution microbenchmark for the cycle-model TVLA pipeline:
-//! drives the 64-way bitsliced FF engine through both statistics tails
-//! outside the campaign stack and times each phase separately, so the
-//! throughput floor is measured, not estimated by subtraction.
+//! drives the 64-way bitsliced FF engine through its lane-major
+//! statistics tail outside the campaign stack and times each phase
+//! separately, so the throughput floor is measured, not estimated by
+//! subtraction.
 //!
 //! ```text
 //! cargo run --release -p gm-bench --bin tvla_micro -- \
@@ -10,19 +11,15 @@
 //!
 //! Phases, per 64-lane group (fig14 FF configuration, σ = 12):
 //!
-//! * **narrow** (scalar tail, `GM_MOMENTS_WIDE=0` equivalent): `eval`
-//!   (bitsliced encrypt incl. the lane-major record transpose), `demux`
-//!   ([`CycleLaneCounters::lane_into`] per lane), `power` (scalar
-//!   [`PowerModel::trace_into`] per lane), `moments`
-//!   ([`TraceMoments::add_block`] per 256-trace block);
-//! * **wide** (lane-major tail, the default): `eval` (records skipped),
-//!   `widen` ([`PowerModel::trace_group_into`] + one row copy per lane),
-//!   `moments` ([`TraceMoments::add_block`] per row-major block);
+//! * `eval` (bitsliced encrypt, records skipped);
+//! * `widen` ([`PowerModel::trace_group_into`] + one row copy per lane);
+//! * `moments` ([`TraceMoments::add_block`] per 256-trace row-major
+//!   block);
 //! * **noise-fill**: the bulk ziggurat tile alone — the irreducible
 //!   measurement-noise floor at σ > 0.
 //!
-//! The two chains run identical seeds; their final moment states must be
-//! bit-identical (asserted), so the comparison times equal work.
+//! The campaign tests in `gm-des` pin this chain bit for bit against the
+//! scalar cycle model; this binary only times it.
 
 use gm_bench::{Args, MetricsSink};
 use gm_core::MaskRng;
@@ -45,15 +42,13 @@ const BLOCK: usize = 256;
 #[derive(Default)]
 struct Phases {
     eval: f64,
-    demux: f64,
-    power: f64,
     widen: f64,
     moments: f64,
 }
 
 impl Phases {
     fn total(&self) -> f64 {
-        self.eval + self.demux + self.power + self.widen + self.moments
+        self.eval + self.widen + self.moments
     }
 }
 
@@ -61,59 +56,6 @@ fn draw_group(pt_rng: &mut SmallRng, pts: &mut [u64; LANES]) {
     for p in pts.iter_mut() {
         *p = pt_rng.random();
     }
-}
-
-/// Scalar tail: record transpose → per-lane demux → scalar power chain →
-/// row-major block fold.
-fn run_narrow(groups: usize, seed: u64, timed: bool) -> (Phases, TraceMoments) {
-    let engine = BitslicedDes::new(KEY);
-    let mut counters = CycleLaneCounters::new();
-    let mut power = PowerModel::ff(SIGMA, seed);
-    let mut mask_rng = MaskRng::new(seed ^ 0x9e37_79b9);
-    let mut pt_rng = SmallRng::seed_from_u64(seed ^ 0x60be_e2be);
-    let mut pts = [0u64; LANES];
-    let mut records: Vec<Vec<_>> = vec![Vec::new(); LANES];
-    let mut block = vec![0.0f64; BLOCK * NS];
-    let mut rows = 0usize;
-    let mut m = TraceMoments::new(NS);
-    let mut scratch = BlockScratch::new(NS);
-    let mut ph = Phases::default();
-    let clock = |on: bool| if on { Some(Instant::now()) } else { None };
-    let lap = |t: Option<Instant>, acc: &mut f64| {
-        if let Some(t) = t {
-            *acc += t.elapsed().as_secs_f64();
-        }
-    };
-    for _ in 0..groups {
-        draw_group(&mut pt_rng, &mut pts);
-        let t = clock(timed);
-        counters.skip_records = false;
-        engine.encrypt_ff_group(&pts, &mut mask_rng, &mut counters);
-        lap(t, &mut ph.eval);
-        let t = clock(timed);
-        for (lane, rec) in records.iter_mut().enumerate() {
-            counters.lane_into(lane, rec);
-        }
-        lap(t, &mut ph.demux);
-        let t = clock(timed);
-        for rec in &records {
-            power.trace_into(rec, &mut block[rows * NS..][..NS]);
-            rows += 1;
-        }
-        lap(t, &mut ph.power);
-        if rows == BLOCK {
-            let t = clock(timed);
-            m.add_block(&block, &mut scratch);
-            lap(t, &mut ph.moments);
-            rows = 0;
-        }
-    }
-    if rows > 0 {
-        let t = clock(timed);
-        m.add_block(&block[..rows * NS], &mut scratch);
-        lap(t, &mut ph.moments);
-    }
-    (ph, m)
 }
 
 /// Lane-major tail: no records, group-wide power conversion, one row
@@ -164,20 +106,6 @@ fn run_wide(groups: usize, seed: u64, timed: bool) -> (Phases, TraceMoments) {
     (ph, m)
 }
 
-fn assert_bit_identical(a: &TraceMoments, b: &TraceMoments) {
-    assert_eq!(a.count(), b.count());
-    for i in 0..a.len() {
-        assert_eq!(a.mean()[i].to_bits(), b.mean()[i].to_bits(), "mean sample {i}");
-        for p in 2..=6 {
-            assert_eq!(
-                a.central_sum(p, i).to_bits(),
-                b.central_sum(p, i).to_bits(),
-                "order {p} sample {i}"
-            );
-        }
-    }
-}
-
 fn main() {
     let args = Args::parse();
     let mut sink = MetricsSink::from_args("tvla_micro", &args);
@@ -186,19 +114,13 @@ fn main() {
     let traces = (groups * LANES) as u64;
     println!("tvla_micro: fig14 FF pipeline, {traces} traces ({groups} groups of {LANES})");
 
-    // Warm-up + bit-identity check at a reduced size.
-    let warm = (groups / 8).max(4);
-    let (_, mn) = run_narrow(warm, args.seed, false);
-    let (_, mw) = run_wide(warm, args.seed, false);
-    assert_bit_identical(&mn, &mw);
+    // Untimed warm-up at a reduced size.
+    std::hint::black_box(run_wide((groups / 8).max(4), args.seed, false));
 
-    let t0 = Instant::now();
-    let (narrow, mn) = run_narrow(groups, args.seed, true);
-    let narrow_wall = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
     let (wide, mw) = run_wide(groups, args.seed, true);
     let wide_wall = t0.elapsed().as_secs_f64();
-    assert_bit_identical(&mn, &mw);
+    std::hint::black_box(&mw);
 
     // Standalone noise floor: the bulk ziggurat tile alone.
     let mut meas = MeasurementModel::new(1.0, SIGMA, 16, args.seed ^ 0x5f35);
@@ -212,42 +134,19 @@ fn main() {
 
     let per = |dt: f64| dt * 1e9 / traces as f64;
     println!("\nphase breakdown (ns/trace):");
-    println!("  {:<22} {:>8} {:>8}", "phase", "narrow", "wide");
-    println!("  {:<22} {:>8.1} {:>8.1}", "eval (bitsliced DES)", per(narrow.eval), per(wide.eval));
-    println!("  {:<22} {:>8.1} {:>8}", "demux (lane_into)", per(narrow.demux), "-");
-    println!("  {:<22} {:>8.1} {:>8}", "power (trace_into)", per(narrow.power), "-");
-    println!("  {:<22} {:>8} {:>8.1}", "widen (group power)", "-", per(wide.widen));
-    println!(
-        "  {:<22} {:>8.1} {:>8.1}",
-        "moments (block fold)",
-        per(narrow.moments),
-        per(wide.moments)
-    );
-    println!(
-        "  {:<22} {:>8.1} {:>8.1}",
-        "TOTAL (sum | wall)",
-        per(narrow.total()),
-        per(wide.total())
-    );
-    println!("  {:<22} {:>8.1} {:>8.1}", "", per(narrow_wall), per(wide_wall));
+    println!("  {:<22} {:>8.1}", "eval (bitsliced DES)", per(wide.eval));
+    println!("  {:<22} {:>8.1}", "widen (group power)", per(wide.widen));
+    println!("  {:<22} {:>8.1}", "moments (block fold)", per(wide.moments));
+    println!("  {:<22} {:>8.1}", "TOTAL (sum)", per(wide.total()));
+    println!("  {:<22} {:>8.1}", "TOTAL (wall)", per(wide_wall));
     println!(
         "  noise-fill floor alone: {:.1} ns/trace ({} ziggurat draws/trace)",
         per(noise_dt),
         NS
     );
-    println!(
-        "\nthroughput: narrow {:.0} traces/s, wide {:.0} traces/s ({:.2}x), single thread",
-        traces as f64 / narrow_wall,
-        traces as f64 / wide_wall,
-        narrow_wall / wide_wall
-    );
-    println!("moment states bit-identical across both chains.");
+    println!("\nthroughput: {:.0} traces/s, single thread", traces as f64 / wide_wall);
 
     for (name, dt) in [
-        ("narrow/eval", narrow.eval),
-        ("narrow/demux", narrow.demux),
-        ("narrow/power", narrow.power),
-        ("narrow/moments", narrow.moments),
         ("wide/eval", wide.eval),
         ("wide/widen", wide.widen),
         ("wide/moments", wide.moments),

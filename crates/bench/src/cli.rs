@@ -91,8 +91,9 @@ impl Args {
                 "--metrics" => args.metrics = Some(grab()),
                 "--progress" => args.progress = true,
                 "--progress-every" => {
-                    args.progress_every =
-                        Some(grab().parse().expect("--progress-every takes a trace count"))
+                    let every = grab().parse().expect("--progress-every takes a trace count");
+                    assert!(every > 0, "--progress-every takes a positive trace count, not 0");
+                    args.progress_every = Some(every);
                 }
                 "--trace-out" => args.trace_out = Some(grab()),
                 other => panic!(
@@ -176,6 +177,14 @@ mod tests {
     fn quick_picks_quick_count() {
         let a = parse("--quick");
         assert_eq!(a.trace_count(10, 100), 10);
+    }
+
+    /// A zero cadence is refused while parsing, before any campaign
+    /// work, with a message naming the flag.
+    #[test]
+    #[should_panic(expected = "--progress-every takes a positive trace count")]
+    fn zero_progress_cadence_panics() {
+        let _ = parse("--progress-every 0");
     }
 
     #[test]

@@ -5,45 +5,10 @@
 //! use Pébay's numerically-stable formulas, so campaigns can stream
 //! millions of traces across many threads without a second pass.
 //!
-//! Two block kernels share the same math: [`TraceMoments::add_block`]
-//! consumes row-major trace blocks, [`TraceMoments::add_block64`] consumes
-//! the sample-major (lane-major) tiles the bitsliced cycle-model sources
-//! produce. Both reduce to one Pébay two-set fold and are bit-identical to
-//! each other (see DESIGN.md §2.13).
-
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Cached `GM_MOMENTS_WIDE` decision: 0 = undecided, 1 = wide, 2 = scalar.
-static MOMENTS_WIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether the lane-major statistics kernel is enabled.
-///
-/// Reads `GM_MOMENTS_WIDE` once: `0`/`off` selects the scalar per-lane
-/// demux chain (the pinned reference), anything else — including an unset
-/// variable — selects the wide path. The kernel is portable scalar Rust
-/// (no SIMD feature gate), so the default is unconditionally on. Both
-/// paths are bit-identical by construction; the knob exists so benches and
-/// CI can pin either side.
-pub fn moments_wide_enabled() -> bool {
-    match MOMENTS_WIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = !matches!(
-                std::env::var("GM_MOMENTS_WIDE").as_deref(),
-                Ok("0") | Ok("off") | Ok("OFF")
-            );
-            MOMENTS_WIDE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Force the lane-major kernel on or off, overriding `GM_MOMENTS_WIDE`.
-/// Benches use this to time both paths in one process.
-pub fn set_moments_wide(enabled: bool) {
-    MOMENTS_WIDE.store(if enabled { 1 } else { 2 }, Ordering::Relaxed);
-}
+//! Campaigns fold whole row-major trace blocks with
+//! [`TraceMoments::add_block`]: two plain passes and one Pébay two-set
+//! fold. Per-trace [`TraceMoments::add`] is its oracle (see DESIGN.md
+//! §2.13).
 
 /// Binomial coefficients C(p, k) for p ≤ 6.
 const BINOM: [[f64; 7]; 7] = [
@@ -295,146 +260,6 @@ impl TraceMoments {
         }
         self.merge_parts(k as u64, &scratch.mean, &scratch.m);
     }
-
-    /// Accumulate a sample-major tile of `rows` traces: sample `i` of
-    /// trace `r` lives at `tile[i * stride + r]`. This is the layout the
-    /// 64-wide bitsliced sources scatter into directly (`stride` = the
-    /// acquisition block's label count), so no per-lane demux or
-    /// row-major transpose ever happens.
-    ///
-    /// Bit-identical to [`Self::add_block`] on the row-major transpose of
-    /// the same tile: every per-sample accumulator receives exactly the
-    /// same additions in the same (trace-ascending) order, only the loop
-    /// nest is interchanged. The inner loops walk contiguous per-sample
-    /// runs of the tile; samples are processed four (pass 1) or two
-    /// (pass 2) at a time so the serial per-accumulator dependency chains
-    /// overlap instead of bounding throughput.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `rows > stride`, the tile is too short for
-    /// `self.len()` samples at that stride, or the scratch was built for
-    /// a different trace length.
-    pub fn add_block64(
-        &mut self,
-        tile: &[f64],
-        rows: usize,
-        stride: usize,
-        scratch: &mut BlockScratch,
-    ) {
-        let len = self.len();
-        assert_eq!(scratch.mean.len(), len, "scratch length mismatch");
-        assert!(rows <= stride, "tile rows exceed stride");
-        if len == 0 || rows == 0 {
-            return;
-        }
-        assert!(tile.len() >= (len - 1) * stride + rows, "tile too short for {rows}x{len} traces");
-        let k = rows;
-        if k == 1 {
-            // A single trace has zero central sums around its own mean.
-            for (i, m) in scratch.mean.iter_mut().enumerate() {
-                *m = tile[i * stride];
-            }
-            for m in &mut scratch.m {
-                m.fill(0.0);
-            }
-            self.merge_parts(1, &scratch.mean, &scratch.m);
-            return;
-        }
-
-        // Pass 1: per-sample block means, four samples jammed per sweep.
-        let inv_k = 1.0 / k as f64;
-        let mut i = 0;
-        while i + 4 <= len {
-            let s0 = &tile[i * stride..][..k];
-            let s1 = &tile[(i + 1) * stride..][..k];
-            let s2 = &tile[(i + 2) * stride..][..k];
-            let s3 = &tile[(i + 3) * stride..][..k];
-            let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-            for r in 0..k {
-                a0 += s0[r];
-                a1 += s1[r];
-                a2 += s2[r];
-                a3 += s3[r];
-            }
-            scratch.mean[i] = a0 * inv_k;
-            scratch.mean[i + 1] = a1 * inv_k;
-            scratch.mean[i + 2] = a2 * inv_k;
-            scratch.mean[i + 3] = a3 * inv_k;
-            i += 4;
-        }
-        while i < len {
-            let s = &tile[i * stride..][..k];
-            let mut a = 0.0f64;
-            for &x in s {
-                a += x;
-            }
-            scratch.mean[i] = a * inv_k;
-            i += 1;
-        }
-
-        // Pass 2: central power sums around the block mean, two samples
-        // jammed per sweep (ten independent accumulator chains).
-        let [m2, m3, m4, m5, m6] = &mut scratch.m;
-        let mut i = 0;
-        while i + 2 <= len {
-            let s0 = &tile[i * stride..][..k];
-            let s1 = &tile[(i + 1) * stride..][..k];
-            let (mu0, mu1) = (scratch.mean[i], scratch.mean[i + 1]);
-            let (mut a2, mut a3, mut a4, mut a5, mut a6) = (0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64);
-            let (mut b2, mut b3, mut b4, mut b5, mut b6) = (0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64);
-            for r in 0..k {
-                let da = s0[r] - mu0;
-                let da2 = da * da;
-                let da3 = da2 * da;
-                a2 += da2;
-                a3 += da3;
-                a4 += da2 * da2;
-                a5 += da2 * da3;
-                a6 += da3 * da3;
-                let db = s1[r] - mu1;
-                let db2 = db * db;
-                let db3 = db2 * db;
-                b2 += db2;
-                b3 += db3;
-                b4 += db2 * db2;
-                b5 += db2 * db3;
-                b6 += db3 * db3;
-            }
-            m2[i] = a2;
-            m3[i] = a3;
-            m4[i] = a4;
-            m5[i] = a5;
-            m6[i] = a6;
-            m2[i + 1] = b2;
-            m3[i + 1] = b3;
-            m4[i + 1] = b4;
-            m5[i + 1] = b5;
-            m6[i + 1] = b6;
-            i += 2;
-        }
-        if i < len {
-            let s = &tile[i * stride..][..k];
-            let mu = scratch.mean[i];
-            let (mut a2, mut a3, mut a4, mut a5, mut a6) = (0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64);
-            for &x in s {
-                let d = x - mu;
-                let d2 = d * d;
-                let d3 = d2 * d;
-                a2 += d2;
-                a3 += d3;
-                a4 += d2 * d2;
-                a5 += d2 * d3;
-                a6 += d3 * d3;
-            }
-            m2[i] = a2;
-            m3[i] = a3;
-            m4[i] = a4;
-            m5[i] = a5;
-            m6[i] = a6;
-        }
-        self.merge_parts(k as u64, &scratch.mean, &scratch.m);
-    }
 }
 
 /// Reusable per-block workspace for [`TraceMoments::add_block`]: the
@@ -604,154 +429,5 @@ mod tests {
         let mut m = TraceMoments::new(4);
         let mut scratch = BlockScratch::new(4);
         m.add_block(&[1.0; 6], &mut scratch);
-    }
-
-    /// Sample-major transpose of a row-major block, laid out at `stride`
-    /// (≥ rows) with poison in the slack so kernels that overread fail.
-    fn transpose_tile(block: &[f64], traces: usize, len: usize, stride: usize) -> Vec<f64> {
-        let mut tile = vec![f64::NAN; len * stride];
-        for (r, row) in block.chunks_exact(len).enumerate() {
-            for (i, &x) in row.iter().enumerate() {
-                tile[i * stride + r] = x;
-            }
-        }
-        assert_eq!(traces, block.len() / len);
-        tile
-    }
-
-    /// The lane-major kernel must be BIT-identical to `add_block` on the
-    /// transposed data — the acquisition dispatch switches between them at
-    /// runtime and campaign results must not depend on the layout.
-    #[test]
-    fn add_block64_bit_identical_to_add_block() {
-        let len = 7;
-        for traces in [1usize, 2, 3, 5, 64, 127, 256] {
-            for extra in [0usize, 3] {
-                let stride = traces + extra;
-                let block = toy_block(traces, len, 41);
-                let tile = transpose_tile(&block, traces, len, stride);
-
-                let mut rowwise = TraceMoments::new(len);
-                let mut srow = BlockScratch::new(len);
-                rowwise.add_block(&block, &mut srow);
-
-                let mut lanewise = TraceMoments::new(len);
-                let mut slane = BlockScratch::new(len);
-                lanewise.add_block64(&tile, traces, stride, &mut slane);
-
-                assert_eq!(lanewise.count(), rowwise.count());
-                for i in 0..len {
-                    assert_eq!(
-                        lanewise.mean()[i].to_bits(),
-                        rowwise.mean()[i].to_bits(),
-                        "{traces} traces stride {stride}: mean diverges at sample {i}"
-                    );
-                    for p in 2..=6 {
-                        assert_eq!(
-                            lanewise.central_sum(p, i).to_bits(),
-                            rowwise.central_sum(p, i).to_bits(),
-                            "{traces} traces stride {stride}: order {p} diverges at sample {i}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Property-style sweep over random streams: `add_block64` agrees with
-    /// per-trace scalar `add` to 1e-9 across shapes and salts (the same
-    /// pinning `add_block` gets, one layer removed).
-    #[test]
-    fn add_block64_matches_scalar_adds() {
-        for (traces, len, salt) in [
-            (1usize, 1usize, 1u64),
-            (2, 1, 2),
-            (5, 3, 7),
-            (17, 4, 11),
-            (64, 7, 13),
-            (256, 9, 17),
-            (300, 2, 19),
-        ] {
-            let stride = traces + (salt as usize % 5);
-            let block = toy_block(traces, len, salt);
-            let tile = transpose_tile(&block, traces, len, stride);
-            let mut scalar = TraceMoments::new(len);
-            for row in block.chunks_exact(len) {
-                scalar.add(row);
-            }
-            let mut wide = TraceMoments::new(len);
-            let mut scratch = BlockScratch::new(len);
-            wide.add_block64(&tile, traces, stride, &mut scratch);
-            assert_eq!(wide.count(), scalar.count());
-            for i in 0..len {
-                assert!((wide.mean()[i] - scalar.mean()[i]).abs() < 1e-9);
-                for p in 2..=6 {
-                    let (a, b) = (wide.central_sum(p, i), scalar.central_sum(p, i));
-                    let scale = b.abs().max(1.0);
-                    assert!(
-                        ((a - b) / scale).abs() < 1e-9,
-                        "{traces}x{len} salt {salt}, order {p}, sample {i}: {a} vs {b}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn add_block64_folds_into_running_state() {
-        let len = 3;
-        let block = toy_block(40, len, 9);
-        let (head, tail) = block.split_at(15 * len);
-        let mut scalar = TraceMoments::new(len);
-        for row in block.chunks_exact(len) {
-            scalar.add(row);
-        }
-        let mut mixed = TraceMoments::new(len);
-        let mut scratch = BlockScratch::new(len);
-        for row in head.chunks_exact(len) {
-            mixed.add(row);
-        }
-        let tile = transpose_tile(tail, 25, len, 25);
-        mixed.add_block64(&tile, 25, 25, &mut scratch);
-        for i in 0..len {
-            for p in 2..=6 {
-                let (a, b) = (mixed.central_sum(p, i), scalar.central_sum(p, i));
-                assert!(((a - b) / b.abs().max(1.0)).abs() < 1e-9, "order {p} sample {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn add_block64_zero_rows_is_noop() {
-        let mut m = TraceMoments::new(4);
-        let mut scratch = BlockScratch::new(4);
-        m.add_block64(&[], 0, 0, &mut scratch);
-        assert_eq!(m.count(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed stride")]
-    fn add_block64_rows_over_stride_panics() {
-        let mut m = TraceMoments::new(2);
-        let mut scratch = BlockScratch::new(2);
-        m.add_block64(&[1.0; 8], 5, 4, &mut scratch);
-    }
-
-    #[test]
-    #[should_panic(expected = "tile too short")]
-    fn add_block64_short_tile_panics() {
-        let mut m = TraceMoments::new(3);
-        let mut scratch = BlockScratch::new(3);
-        m.add_block64(&[1.0; 7], 4, 4, &mut scratch);
-    }
-
-    #[test]
-    fn moments_wide_knob_round_trips() {
-        let initial = moments_wide_enabled();
-        set_moments_wide(false);
-        assert!(!moments_wide_enabled());
-        set_moments_wide(true);
-        assert!(moments_wide_enabled());
-        set_moments_wide(initial);
     }
 }

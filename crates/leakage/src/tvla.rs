@@ -25,20 +25,15 @@ pub enum Class {
 }
 
 /// Memory layout a [`TraceSource::trace_block`] override fills the class
-/// buffers in. The acquisition loop dispatches on this to pick the
-/// matching blocked-moments kernel, so lane-major sources never transpose.
+/// buffers in. Every source fills row-major buffers, which the acquisition
+/// loop folds with [`TraceMoments::add_block`]; the enum has one variant
+/// and survives only because the repository benchmark (`benchmark` bin of
+/// `gm-bench`) implements [`TraceSource::block_layout`] for its traced
+/// sources.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockLayout {
     /// `buf[row * num_samples + sample]` — one contiguous trace per row.
-    /// Folded with [`TraceMoments::add_block`].
     RowMajor,
-    /// `buf[sample * stride + row]` with `stride = labels.len()` of the
-    /// `trace_block` call — sample-major tiles as produced by the
-    /// 64-wide bitsliced sources. Folded with
-    /// [`TraceMoments::add_block64`]. Buffers sized `labels.len() ×
-    /// num_samples` hold either layout, so the capacity contract is
-    /// unchanged.
-    SampleMajor,
 }
 
 /// A source of power traces for a TVLA campaign.
@@ -89,10 +84,9 @@ pub trait TraceSource: Send {
         (nf, nr)
     }
 
-    /// Layout of the buffers [`TraceSource::trace_block`] fills. The
-    /// default (and the default `trace_block`) is row-major; a source
-    /// returning [`BlockLayout::SampleMajor`] must override `trace_block`
-    /// to scatter `buf[sample * labels.len() + row]`.
+    /// Layout of the buffers [`TraceSource::trace_block`] fills; always
+    /// [`BlockLayout::RowMajor`]. Kept for the benchmark's sources only:
+    /// the acquisition loop does not consult it.
     fn block_layout(&self) -> BlockLayout {
         BlockLayout::RowMajor
     }
@@ -489,16 +483,8 @@ fn acquire_quota<S: TraceSource>(
         draw_labels(rng, n, &mut bufs.labels);
         let block_timer = Timer::start();
         let (nf, nr) = src.trace_block(&bufs.labels, &mut bufs.fixed, &mut bufs.random);
-        match src.block_layout() {
-            BlockLayout::RowMajor => {
-                local.fixed.add_block(&bufs.fixed[..nf * num_samples], &mut bufs.scratch);
-                local.random.add_block(&bufs.random[..nr * num_samples], &mut bufs.scratch);
-            }
-            BlockLayout::SampleMajor => {
-                local.fixed.add_block64(&bufs.fixed, nf, n, &mut bufs.scratch);
-                local.random.add_block64(&bufs.random, nr, n, &mut bufs.scratch);
-            }
-        }
+        local.fixed.add_block(&bufs.fixed[..nf * num_samples], &mut bufs.scratch);
+        local.random.add_block(&bufs.random[..nr * num_samples], &mut bufs.scratch);
         if gm_obs::ENABLED {
             let ns = block_timer.elapsed_ns();
             tally.acquire.add_ns(ns);

@@ -14,7 +14,6 @@
 use gm_netlist::{GateId, Netlist};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Default inertial pulse-rejection width: pulses narrower than this are
 /// annihilated rather than propagated. Physically the gate's output
@@ -317,51 +316,6 @@ impl JitterTile {
     pub fn new() -> Self {
         JitterTile::default()
     }
-}
-
-/// Runtime switch for the batched jitter path. Three states so the env
-/// var is read once, lazily: 0 = undecided, 1 = wide, 2 = scalar.
-static WIDE_JITTER: AtomicU8 = AtomicU8::new(0);
-
-/// Whether the batched (8-wide) jitter path is active. Decided once from
-/// `GM_JITTER_WIDE` (`0`/`off` forces the scalar fallback, `1`/`on`
-/// forces wide) or, unset, from runtime CPU detection: on x86-64 the
-/// wide path wants AVX2 (the repo builds at x86-64-v3, but a generic
-/// build on an older machine should keep the scalar loop); elsewhere the
-/// portable wide code is enabled — it is never incorrect, only possibly
-/// not faster. Both paths draw bit-identical samples, so this gate is a
-/// performance choice, never a correctness one.
-pub fn wide_jitter_enabled() -> bool {
-    match WIDE_JITTER.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = match std::env::var("GM_JITTER_WIDE") {
-                Ok(v) if v == "0" || v.eq_ignore_ascii_case("off") => false,
-                Ok(v) if v == "1" || v.eq_ignore_ascii_case("on") => true,
-                _ => detect_wide_default(),
-            };
-            WIDE_JITTER.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn detect_wide_default() -> bool {
-    std::arch::is_x86_feature_detected!("avx2")
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn detect_wide_default() -> bool {
-    true
-}
-
-/// Force the batched jitter path on or off, overriding the env/CPU
-/// default (benchmarks A/B the two paths in-process; the CI scalar
-/// smoke pins the fallback). Takes effect for subsequent passes.
-pub fn set_wide_jitter(enabled: bool) {
-    WIDE_JITTER.store(if enabled { 1 } else { 2 }, Ordering::Relaxed);
 }
 
 /// Mix `(salt, gate, ordinal)` into one uniform 64-bit word
@@ -732,15 +686,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The runtime gate honors programmatic override in both directions.
-    #[test]
-    fn wide_jitter_gate_overrides() {
-        set_wide_jitter(false);
-        assert!(!wide_jitter_enabled());
-        set_wide_jitter(true);
-        assert!(wide_jitter_enabled());
     }
 
     /// The quantized inverse-CDF sampler must reproduce normal moments

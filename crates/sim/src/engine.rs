@@ -30,14 +30,12 @@
 //! * [`Simulator`] — a thin convenience wrapper binding a graph, a
 //!   [`DelayModel`] and a core, keeping the original borrow-style API.
 
-use crate::delay::{wide_jitter_enabled, DelayModel, WIDE};
+use crate::delay::{DelayModel, WIDE};
 use crate::power::NullSink;
-use crate::wheel::{TimingWheel, WheelStats};
+use crate::wheel::TimingWheel;
 use gm_netlist::netlist::Driver;
 use gm_netlist::{Csr, GateId, GateKind, NetId, Netlist};
 use gm_obs::{Counter, Report};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Upper bound on combinational/sequential fan-in (Mux2 and configured
 /// DFFs top out at 3 pins); lets pin values live on the stack.
@@ -79,91 +77,10 @@ struct Pending {
     version: u32,
 }
 
-/// Reference-queue event: the exact struct (and derived ordering) of the
-/// original `BinaryHeap` engine. `seq` is unique per event, so the
-/// derived `(time, seq, ..)` order *is* the `(time, seq)` order the
-/// wheel uses — the property tests lean on this.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Event {
-    time: u64,
-    seq: u64,
-    net: NetId,
-    value: bool,
-    version: u32,
-}
-
-/// The pending-event queue: timing wheel by default, with the original
-/// binary heap kept as a differential-testing reference.
-//
-// One Queue exists per SimCore (never stored in arrays), so the size
-// gap between the inline wheel and the reference heap wastes nothing;
-// boxing the wheel would add an indirection to every push/pop on the
-// hot event path instead.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum Queue {
-    Wheel(TimingWheel<Pending>),
-    Heap(BinaryHeap<Reverse<Event>>),
-}
-
-impl Queue {
-    #[inline]
-    fn push(&mut self, time: u64, seq: u64, p: Pending) {
-        match self {
-            Queue::Wheel(w) => w.push(time, seq, p),
-            Queue::Heap(h) => h.push(Reverse(Event {
-                time,
-                seq,
-                net: NetId(p.net),
-                value: p.value,
-                version: p.version,
-            })),
-        }
-    }
-
-    #[inline]
-    fn peek_time(&mut self) -> Option<u64> {
-        match self {
-            Queue::Wheel(w) => w.peek_time(),
-            Queue::Heap(h) => h.peek().map(|Reverse(e)| e.time),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(u64, Pending)> {
-        match self {
-            Queue::Wheel(w) => w.pop().map(|(t, _, p)| (t, p)),
-            Queue::Heap(h) => h.pop().map(|Reverse(e)| {
-                (e.time, Pending { net: e.net.0, value: e.value, version: e.version })
-            }),
-        }
-    }
-
-    /// Fused peek + pop: the earliest event iff its time is at most
-    /// `t_max`. Like a peek, leaves the queue untouched when the front
-    /// event lies beyond the horizon.
-    #[inline]
-    fn pop_at_most(&mut self, t_max: u64) -> Option<(u64, Pending)> {
-        match self {
-            Queue::Wheel(w) => w.pop_at_most(t_max).map(|(t, _, p)| (t, p)),
-            Queue::Heap(h) => {
-                if h.peek().is_none_or(|Reverse(e)| e.time > t_max) {
-                    return None;
-                }
-                h.pop().map(|Reverse(e)| {
-                    (e.time, Pending { net: e.net.0, value: e.value, version: e.version })
-                })
-            }
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            Queue::Wheel(w) => w.clear(),
-            Queue::Heap(h) => h.clear(),
-        }
-    }
-}
+// Test-only pin of [`SimCore::apply`]'s fan-out loop to the scalar draw,
+// so unit tests can diff the burst path against its oracle.
+#[cfg(test)]
+thread_local!(static SCALAR_FANOUT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) });
 
 /// Immutable simulation topology shared by every [`SimCore`] over the
 /// same netlist: flat CSR adjacency, driver/weight tables, topological
@@ -358,7 +275,7 @@ pub struct SimCore {
     /// Per-net toggle weight; starts from the graph's defaults, mutable
     /// via [`SimCore::set_net_weight`] (persists across resets).
     weights: Vec<f64>,
-    queue: Queue,
+    queue: TimingWheel<Pending>,
     seq: u64,
     time: u64,
     /// Per-trace jitter salt (`seed ^ JITTER_SALT_XOR`). Event delays are
@@ -412,8 +329,8 @@ pub struct SimStats {
     /// Jitter draws taken through the 8-wide burst sampler
     /// ([`DelayModel::sample_event_ps_x8`]).
     pub jitter_batched: Counter,
-    /// Jitter draws taken through the scalar sampler (wide path off,
-    /// single-consumer fan-out, or jitter-free model).
+    /// Jitter draws taken through the scalar sampler (single-consumer
+    /// fan-out, or jitter-free model).
     pub jitter_scalar: Counter,
 }
 
@@ -458,7 +375,7 @@ impl SimCore {
             out_last_time: vec![0; graph.num_gates()],
             out_version: vec![0; graph.num_gates()],
             weights: graph.weights.clone(),
-            queue: Queue::Wheel(TimingWheel::new()),
+            queue: TimingWheel::new(),
             seq: 0,
             time: 0,
             salt: seed ^ JITTER_SALT_XOR,
@@ -476,29 +393,11 @@ impl SimCore {
         &self.stats
     }
 
-    /// Export engine counters under `<prefix>.*` and, when the timing
-    /// wheel is in use, queue counters under `<prefix>.wheel.*`.
+    /// Export engine counters under `<prefix>.*` and the timing wheel's
+    /// queue counters under `<prefix>.wheel.*`.
     pub fn obs_report(&self, prefix: &str, r: &mut Report) {
         self.stats.report_into(prefix, r);
-        if let Queue::Wheel(w) = &self.queue {
-            w.stats().report_into(&format!("{prefix}.wheel"), r);
-        }
-    }
-
-    /// Queue counters of the timing wheel, when it is in use.
-    pub fn wheel_stats(&self) -> Option<&WheelStats> {
-        match &self.queue {
-            Queue::Wheel(w) => Some(w.stats()),
-            Queue::Heap(_) => None,
-        }
-    }
-
-    /// Swap the timing wheel for the original `BinaryHeap`. Differential
-    /// testing only; must be called while the queue is empty.
-    #[doc(hidden)]
-    pub fn use_reference_heap_queue(&mut self) {
-        assert!(self.queue.peek_time().is_none(), "queue must be empty to swap");
-        self.queue = Queue::Heap(BinaryHeap::new());
+        self.queue.stats().report_into(&format!("{prefix}.wheel"), r);
     }
 
     /// Current simulation time (ps).
@@ -634,7 +533,7 @@ impl SimCore {
         t_end_ps: u64,
         sink: &mut impl PowerSink,
     ) {
-        while let Some((time, p)) = self.queue.pop_at_most(t_end_ps) {
+        while let Some((time, _, p)) = self.queue.pop_at_most(t_end_ps) {
             self.stats.events_popped.inc();
             self.time = time;
             self.apply(graph, delays, time, p, sink);
@@ -649,7 +548,7 @@ impl SimCore {
         delays: &DelayModel,
         sink: &mut impl PowerSink,
     ) {
-        while let Some((time, p)) = self.queue.pop() {
+        while let Some((time, _, p)) = self.queue.pop() {
             self.stats.events_popped.inc();
             self.time = time;
             self.apply(graph, delays, time, p, sink);
@@ -711,12 +610,14 @@ impl SimCore {
         // Re-evaluate combinational fan-out; schedule changed outputs.
         // Multi-consumer deliveries under jitter take the burst variant,
         // which draws all the toggling gates' delays through the 8-wide
-        // sampler; the in-loop scalar draw survives as the exact
-        // fallback (both orderings of the same bit-identical draws).
-        if graph.consumers.row(ni).len() >= 2
-            && delays.jitter_sigma_ps() > 0.0
-            && wide_jitter_enabled()
-        {
+        // sampler; single consumers and jitter-free models keep the
+        // in-loop scalar draw, which is also the burst's test oracle
+        // (both orderings of the same bit-identical draws).
+        #[cfg(test)]
+        let scalar_only = SCALAR_FANOUT.get();
+        #[cfg(not(test))]
+        let scalar_only = false;
+        if graph.consumers.row(ni).len() >= 2 && delays.jitter_sigma_ps() > 0.0 && !scalar_only {
             self.apply_fanout_burst(graph, delays, time, ni);
             return;
         }
@@ -918,12 +819,6 @@ impl<'a> Simulator<'a> {
     /// `Simulator::new` with the same seed (see [`SimCore::reset`]).
     pub fn reset(&mut self, seed: u64) {
         self.core.reset(self.graph.get(), seed);
-    }
-
-    /// Swap in the reference heap queue (differential testing only).
-    #[doc(hidden)]
-    pub fn use_reference_heap_queue(&mut self) {
-        self.core.use_reference_heap_queue();
     }
 
     /// Current simulation time (ps).
@@ -1213,14 +1108,11 @@ mod tests {
         assert_eq!(got, want, "reset must reproduce the fresh stream");
     }
 
-    /// The burst consumer loop (wide jitter path) must reproduce the
-    /// scalar loop's transition stream exactly — same nets, times and
-    /// order — on a fan-out-heavy netlist with annihilation-width
-    /// jitter. Toggling the global gate is benign for concurrently
-    /// running tests precisely because the two paths are bit-identical.
+    /// The burst consumer loop must reproduce the scalar loop's
+    /// transition stream exactly — same nets, times and order — on a
+    /// fan-out-heavy netlist with annihilation-width jitter.
     #[test]
     fn burst_fanout_matches_scalar() {
-        use crate::delay::set_wide_jitter;
         let mut n = Netlist::new("t");
         let a = n.input("a");
         let b = n.input("b");
@@ -1239,8 +1131,8 @@ mod tests {
         n.validate().unwrap();
         let delays = DelayModel::with_variation(&n, 0.6, 300.0, 0x77);
 
-        let record = |wide: bool, seed: u64| {
-            set_wide_jitter(wide);
+        let record = |scalar_only: bool, seed: u64| {
+            SCALAR_FANOUT.set(scalar_only);
             let mut rec: Vec<(u64, u32, bool)> = Vec::new();
             struct R<'v>(&'v mut Vec<(u64, u32, bool)>);
             impl PowerSink for R<'_> {
@@ -1254,12 +1146,14 @@ mod tests {
             sim.schedule(b, 1_100, true);
             sim.schedule(a, 9_000, false);
             sim.run_until(200_000, &mut R(&mut rec));
-            set_wide_jitter(true);
+            SCALAR_FANOUT.set(false);
+            #[cfg(not(feature = "obs-off"))]
+            assert_eq!(sim.stats().jitter_batched.get() > 0, !scalar_only, "burst follows the pin");
             rec
         };
         for seed in 0..16u64 {
-            let wide = record(true, seed);
-            let scalar = record(false, seed);
+            let wide = record(false, seed);
+            let scalar = record(true, seed);
             assert_eq!(wide, scalar, "seed {seed}: burst and scalar streams must be identical");
             assert!(wide.len() > 6, "seed {seed}: fan-out must actually glitch");
         }

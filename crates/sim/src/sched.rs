@@ -42,50 +42,19 @@
 //! bench gadget under Fig. 15 jitter (σ = 400 ps) about 2% of lanes
 //! diverge, so the fallback is a small fraction of campaign time.
 
-use crate::delay::{event_hash, quantized_gaussian, wide_jitter_enabled, DelayModel, JitterTile};
+use crate::delay::{event_hash, quantized_gaussian, DelayModel, JitterTile};
 use crate::engine::{SimGraph, JITTER_SALT_XOR, MAX_PINS};
 use crate::power::LaneSink;
 use gm_netlist::{Csr, GateId, NetId};
 use gm_obs::{Counter, Report, Stopwatch};
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Traces per sweep pass (one bit per lane in every net-value word).
 pub const LANES: usize = 64;
 
-/// Runtime switch for deferred divergence repair. Three states so the
-/// env var is read once, lazily: 0 = undecided, 1 = batched, 2 = inline.
-static REPAIR_BATCH: AtomicU8 = AtomicU8::new(0);
-
-/// Whether divergent-lane repair is deferred into a [`RepairQueue`] and
-/// drained in batches. Decided once from `GM_REPAIR_BATCH` (`0`/`off`
-/// pins the legacy inline per-lane fallback, anything else — including
-/// unset — the batched drain). Either way every abandoned lane re-runs
-/// the same seed on the same scalar wheel, so the gate is a performance
-/// choice, never a correctness one; CI diffs campaign stdout across it
-/// byte-for-byte.
-pub fn repair_batch_enabled() -> bool {
-    match REPAIR_BATCH.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = !matches!(std::env::var("GM_REPAIR_BATCH"),
-                Ok(v) if v == "0" || v.eq_ignore_ascii_case("off"));
-            REPAIR_BATCH.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Force deferred repair on or off, overriding the env default (the
-/// equivalence tests and benchmarks A/B both paths in-process).
-pub fn set_repair_batch(enabled: bool) {
-    REPAIR_BATCH.store(if enabled { 1 } else { 2 }, Ordering::Relaxed);
-}
-
 /// One abandoned divergent lane, queued for deferred scalar repair:
 /// everything the wheel rerun needs (the per-trace seed and the lane's
 /// stimulus-slot values) plus the caller's label slot, so the repaired
-/// result lands exactly where the inline fallback would have written it.
+/// result lands in the slot the lane was acquired for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RepairTicket {
     /// Per-trace simulation seed of the abandoned lane.
@@ -108,7 +77,7 @@ pub struct RepairTicket {
 /// order, and every rerun is a pure function of its ticket (the wheel
 /// is reset to the ticket's seed), so deferring repair never changes a
 /// campaign's bytes — results land in the same label slots with the
-/// same values the inline fallback would have produced.
+/// same values an immediate rerun would have produced.
 #[derive(Debug, Default)]
 pub struct RepairQueue {
     tickets: Vec<RepairTicket>,
@@ -168,6 +137,11 @@ const NODE_CAP: usize = 1 << 14;
 /// scalar chain instead of the staged tile: four short stage loops cost
 /// more than they save when only a couple of lanes toggle.
 const TILE_MIN_DRAWS: u32 = 4;
+
+// Test-only pin of every sweep draw to the in-loop scalar chain, so unit
+// tests can diff the staged tile path against its oracle.
+#[cfg(test)]
+thread_local!(static SCALAR_DRAWS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) });
 
 /// Marks a stimulus node's `gate` field.
 const STIM: u32 = u32::MAX;
@@ -434,11 +408,11 @@ pub struct SchedStats {
     /// Jitter draws taken through the staged tile sampler (the wide
     /// path: every draw is consumed, nothing is over-drawn).
     pub jitter_batched: Counter,
-    /// Jitter draws taken scalar inside the sweep loop (wide path off,
-    /// or too few toggled lanes for a tile to pay).
+    /// Jitter draws taken scalar inside the sweep loop (too few toggled
+    /// lanes for a tile to pay).
     pub jitter_scalar: Counter,
     /// Divergent lanes repaired through a deferred [`RepairQueue`]
-    /// drain (inline fallbacks count only in `fallback_lanes`).
+    /// drain.
     pub repair_lanes: Counter,
     /// Batched drains of the repair queue; `repair_lanes / repair_drains`
     /// is the realized batch size.
@@ -614,11 +588,15 @@ impl SchedRunner {
         // Per-visit staged tile draws: a node visit that toggles enough
         // lanes compacts them into the runner's [`JitterTile`] and draws
         // all of them through the batched sampler, which is bit-identical
-        // to the in-loop scalar chain — a pure performance fork. Unlike
+        // to the in-loop scalar chain (its test oracle). Unlike
         // a whole-pass pre-drawn plane this never over-draws: the
         // superset schedule visits gates ~3× more often than lanes
         // actually toggle.
-        let use_tile = delays.jitter_sigma_ps() > 0.0 && wide_jitter_enabled();
+        #[cfg(test)]
+        let scalar_only = SCALAR_DRAWS.get();
+        #[cfg(not(test))]
+        let scalar_only = false;
+        let use_tile = delays.jitter_sigma_ps() > 0.0 && !scalar_only;
         let mut batched_draws = 0u64;
         let mut scalar_draws = 0u64;
         let mut divergent = 0u64;
@@ -755,8 +733,8 @@ impl SchedRunner {
                 // hottest code in a glitch campaign. When enough lanes
                 // toggle the draws go through the staged tile sampler
                 // (hash/convert/lerp pipelines batched so they
-                // autovectorize); the in-loop chain survives as the
-                // exact fallback, replicating
+                // autovectorize); the in-loop chain covers the sparse
+                // visits and jitter-free models, replicating
                 // `DelayModel::sample_event_ps` with the per-gate
                 // pieces hoisted out of the loop.
                 let gid = GateId(g as u32);
@@ -1162,9 +1140,7 @@ mod tests {
 
     /// The batched-tile (wide) path and the in-loop scalar path must
     /// produce identical transition streams, final values and divergence
-    /// masks — the runtime gate is a pure performance fork. (Safe to
-    /// toggle the global gate concurrently with other tests precisely
-    /// because of this identity.)
+    /// masks.
     #[test]
     fn wide_and_scalar_jitter_paths_agree() {
         let (n, ins) = hazard();
@@ -1177,7 +1153,7 @@ mod tests {
         let stim_vals = [0x5555_5555_5555_5555u64, 0x3333_3333_3333_3333];
         let mut streams = Vec::new();
         for wide in [true, false] {
-            crate::delay::set_wide_jitter(wide);
+            SCALAR_DRAWS.set(!wide);
             let mut runner = SchedRunner::new();
             let mut rec = LaneRec::new();
             let div = runner.run_pass(
@@ -1196,11 +1172,11 @@ mod tests {
             assert_eq!(
                 runner.stats.jitter_batched.get() > 0,
                 wide,
-                "tile draws must follow the gate"
+                "tile draws must follow the pin"
             );
             streams.push((div, rec.0, finals));
         }
-        crate::delay::set_wide_jitter(true);
+        SCALAR_DRAWS.set(false);
         assert_eq!(streams[0], streams[1], "wide and scalar jitter paths must be bit-identical");
     }
 

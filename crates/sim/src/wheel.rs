@@ -11,8 +11,8 @@
 //!
 //! Events are ordered by `(time, seq)`. The engine assigns every event a
 //! unique, monotonically increasing `seq`, so this key is a *total*
-//! order — identical to the ordering of the reference heap, which is
-//! what the `wheel_matches_heap` property tests pin.
+//! order — identical to a `BinaryHeap`'s, which is what the
+//! `wheel_matches_heap_order` property test pins.
 
 use gm_obs::{Counter, LogHist, Report};
 

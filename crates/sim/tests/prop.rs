@@ -1,15 +1,14 @@
 //! Property tests for the timing-wheel event queue and the reusable
-//! simulator core, differential against the reference `BinaryHeap`
-//! implementation (kept behind `use_reference_heap_queue`).
+//! simulator core.
 //!
-//! These pin the two contracts PR 2 optimises around:
+//! These pin the two contracts the event engine relies on:
 //!
 //! 1. the wheel is a drop-in priority queue — identical `(time, seq)`
-//!    pop order for any push/pop interleaving the engine can produce
+//!    pop order to a `BinaryHeap` model for any push / pop /
+//!    `pop_at_most` / `clear` interleaving the engine can produce
 //!    (pushes never precede the last popped time);
-//! 2. the wheel-backed simulator emits a bit-identical transition
-//!    stream to the heap-backed one on random logic cones, and
-//!    `reset()` + rerun is bit-identical to a freshly constructed core.
+//! 2. `reset()` + rerun on a recycled simulator core is bit-identical to
+//!    a freshly constructed core.
 
 use gm_netlist::{NetId, Netlist};
 use gm_sim::{DelayModel, PowerSink, SimGraph, Simulator, TimingWheel};
@@ -66,27 +65,64 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Wheel ≡ heap pop order under the engine's push contract: every
-    /// push is at or after the most recently popped time, pops and
-    /// pushes interleave arbitrarily, and times span multiple buckets
-    /// plus the overflow region (bucket span is 512 ps × 256).
+    /// push is at or after the most recently popped time, and pushes
+    /// interleave arbitrarily with the three ways `SimCore` drains the
+    /// queue — bare pops (`run_to_quiescence`), horizon-bounded
+    /// `pop_at_most` drains (`run_until`, which leave the cursor alone
+    /// when the front lies past the horizon) and `clear` (between
+    /// traces). Push offsets and horizons each land, with equal odds,
+    /// within one bucket, across the ring, or in the overflow region
+    /// (bucket span is 512 ps × 256).
     #[test]
-    fn wheel_matches_heap_order(ops in prop::collection::vec((0u64..300_000, 0u8..4), 1..300)) {
+    fn wheel_matches_heap_order(
+        ops in prop::collection::vec(
+            ((0u64..300_000, 0u32..3), 0u8..9, (0u64..300_000, 0u32..3)),
+            1..300,
+        ),
+    ) {
         let mut wheel = TimingWheel::new();
         let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut floor = 0u64; // last popped time
-        for (seq, (dt, pops)) in ops.into_iter().enumerate() {
+        for (seq, ((dt, dt_shift), op, (horizon, h_shift))) in ops.into_iter().enumerate() {
             let seq = seq as u64;
-            let t = floor + dt;
+            let t = floor + (dt >> (6 * dt_shift));
             wheel.push(t, seq, seq);
             heap.push(Reverse((t, seq)));
-            for _ in 0..pops {
-                prop_assert_eq!(wheel.peek_time(), heap.peek().map(|r| r.0 .0));
-                let Some(Reverse(want)) = heap.pop() else { break };
-                let (wt, ws, payload) = wheel.pop().expect("wheel matches heap length");
-                prop_assert_eq!((wt, ws), want);
-                prop_assert_eq!(payload, ws);
-                floor = wt;
+            match op {
+                0..=3 => {
+                    for _ in 0..op {
+                        prop_assert_eq!(wheel.peek_time(), heap.peek().map(|r| r.0 .0));
+                        let Some(Reverse(want)) = heap.pop() else { break };
+                        let (wt, ws, payload) = wheel.pop().expect("wheel matches heap length");
+                        prop_assert_eq!((wt, ws), want);
+                        prop_assert_eq!(payload, ws);
+                        floor = wt;
+                    }
+                }
+                4..=7 => {
+                    let t_max = floor + (horizon >> (6 * h_shift));
+                    loop {
+                        let want = match heap.peek() {
+                            Some(&Reverse(front)) if front.0 <= t_max => heap.pop().map(|r| r.0),
+                            _ => None,
+                        };
+                        let got = wheel.pop_at_most(t_max);
+                        prop_assert_eq!(got.map(|(wt, ws, _)| (wt, ws)), want);
+                        let Some((wt, ws, payload)) = got else { break };
+                        prop_assert_eq!(payload, ws);
+                        floor = wt;
+                    }
+                    prop_assert_eq!(wheel.peek_time(), heap.peek().map(|r| r.0 .0));
+                }
+                _ => {
+                    wheel.clear();
+                    heap.clear();
+                    prop_assert!(wheel.is_empty());
+                    prop_assert_eq!(wheel.peek_time(), None);
+                    floor = 0;
+                }
             }
+            prop_assert_eq!(wheel.len(), heap.len());
         }
         while let Some(Reverse(want)) = heap.pop() {
             let (wt, ws, _) = wheel.pop().expect("wheel matches heap length");
@@ -99,37 +135,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The wheel-backed simulator and the reference heap-backed one emit
-    /// identical transition streams (time, net, value, weight) on random
-    /// cones with jittered delays — pulse rejection and tie-breaking
-    /// included.
-    #[test]
-    fn wheel_sim_matches_heap_sim(
-        gates in prop::collection::vec((0u8..8, 0u8..32, 0u8..32), 3..24),
-        stims in prop::collection::vec((0u8..4, 0u64..60_000, any::<bool>()), 1..24),
-        seed in any::<u64>(),
-    ) {
-        let (n, inputs) = random_cone(&gates);
-        let delays = DelayModel::with_variation(&n, 0.3, 60.0, seed);
-
-        let mut wheel_sim = Simulator::new(&n, &delays, seed);
-        wheel_sim.init_all_zero();
-        let mut heap_sim = Simulator::new(&n, &delays, seed);
-        heap_sim.use_reference_heap_queue();
-        heap_sim.init_all_zero();
-
-        apply_stimuli(&mut wheel_sim, &inputs, &stims);
-        apply_stimuli(&mut heap_sim, &inputs, &stims);
-
-        let (mut rw, mut rh) = (RecordingSink::default(), RecordingSink::default());
-        wheel_sim.run_until(500_000, &mut rw);
-        heap_sim.run_until(500_000, &mut rh);
-        prop_assert_eq!(rw.0, rh.0);
-        for net in 0..n.num_nets() as u32 {
-            prop_assert_eq!(wheel_sim.value(NetId(net)), heap_sim.value(NetId(net)));
-        }
-    }
 
     /// `reset()` + rerun on a recycled core is bit-identical to a fresh
     /// construction: same transitions, same final values — even after a

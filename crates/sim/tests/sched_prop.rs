@@ -3,9 +3,10 @@
 //! models, every non-divergent lane of [`SchedRunner::run_pass`] must
 //! reproduce the dynamic wheel's timed-transition multiset and final
 //! net values bit-for-bit under the same per-trace seed (the wheel is
-//! itself pinned against the reference heap in `prop.rs`, so the chain
+//! itself pinned against a `BinaryHeap` model in `prop.rs`, so the chain
 //! closes transitively). Divergent lanes are the documented fallback:
-//! the caller re-runs them on the wheel, which is trivially identical.
+//! the caller queues them for a batched rerun on the wheel, which is
+//! trivially identical.
 
 use gm_netlist::{NetId, Netlist};
 use gm_sim::{
@@ -172,41 +173,23 @@ proptest! {
             &sched, &graph, &delays, graph.weights(), &seeds, &stim_values, t_end, &mut rec,
         );
 
-        // One recycled fallback core for all divergent lanes, as in the
-        // bench trace sources — reset-reuse must not leak state between
-        // lanes. Inline repair (the legacy `GM_REPAIR_BATCH=0` path) is
-        // computed per lane; the deferred batch goes through a
-        // [`RepairQueue`] exactly like the trace sources and must land
-        // the same bytes in the same label slots.
-        let mut fallback = SimCore::new(&graph, 0);
-        let mut composed: Vec<Stream> = Vec::new();
+        // Divergent lanes go through a [`RepairQueue`] drained on one
+        // recycled fallback core, exactly like the trace sources: the
+        // drain must land each rerun in its original label slot, and
+        // reset-reuse must not leak state between lanes.
         let mut repairs = RepairQueue::new();
         for (l, &lane_seed) in seeds.iter().enumerate().take(TEST_LANES) {
             if div >> l & 1 != 0 {
-                fallback.reset(&graph, lane_seed);
-                for (s, &(net, t)) in stims.iter().enumerate() {
-                    fallback.schedule(net, t, stim_values[s] >> l & 1 != 0);
-                }
-                let mut sink = RecordingSink::default();
-                fallback.run_until(&graph, &delays, t_end, &mut sink);
-                sink.0.sort_unstable();
-                composed.push(sink.0);
                 let mut sb = 0u32;
                 for (s, v) in stim_values.iter().enumerate() {
                     sb |= ((v >> l & 1) as u32) << s;
                 }
                 repairs.push(lane_seed, sb, l as u32);
-            } else {
-                let mut lane = rec.0[l].clone();
-                lane.sort_unstable();
-                composed.push(lane);
             }
         }
-
-        // Deferred drain: every queued lane repaired in one batch, into
-        // its original label slot, bit-identical to the inline repair.
         let queued = repairs.len();
-        let mut batched: Vec<Option<Stream>> = vec![None; TEST_LANES];
+        let mut fallback = SimCore::new(&graph, 0);
+        let mut composed: Vec<Option<Stream>> = vec![None; TEST_LANES];
         let drained = repairs.drain(&mut runner.stats, |ticket| {
             fallback.reset(&graph, ticket.seed);
             for (s, &(net, t)) in stims.iter().enumerate() {
@@ -215,20 +198,19 @@ proptest! {
             let mut sink = RecordingSink::default();
             fallback.run_until(&graph, &delays, t_end, &mut sink);
             sink.0.sort_unstable();
-            batched[ticket.slot as usize] = Some(sink.0);
+            let slot = &mut composed[ticket.slot as usize];
+            assert!(slot.is_none(), "lane {} repaired twice", ticket.slot);
+            *slot = Some(sink.0);
         });
         prop_assert_eq!(drained, queued, "drain must repair every queued ticket");
         prop_assert!(repairs.is_empty(), "drain must leave the queue empty");
-        for l in 0..TEST_LANES {
-            if div >> l & 1 != 0 {
-                prop_assert_eq!(
-                    batched[l].as_ref().expect("divergent lane was queued"),
-                    &composed[l],
-                    "lane {} batched repair != inline fallback", l
-                );
-            } else {
-                prop_assert!(batched[l].is_none(), "clean lane {} must not be repaired", l);
-            }
+        for (l, slot) in composed.iter_mut().enumerate() {
+            prop_assert_eq!(slot.is_some(), div >> l & 1 != 0, "lane {} repaired iff divergent", l);
+            slot.get_or_insert_with(|| {
+                let mut lane = rec.0[l].clone();
+                lane.sort_unstable();
+                lane
+            });
         }
 
         for (l, &lane_seed) in seeds.iter().enumerate().take(TEST_LANES) {
@@ -239,7 +221,11 @@ proptest! {
             let mut want = RecordingSink::default();
             fresh.run_until(&graph, &delays, t_end, &mut want);
             want.0.sort_unstable();
-            prop_assert_eq!(&composed[l], &want.0, "lane {} composed transition multiset", l);
+            prop_assert_eq!(
+                composed[l].as_ref().expect("every lane composed"),
+                &want.0,
+                "lane {} composed transition multiset", l
+            );
         }
     }
 }
@@ -285,7 +271,7 @@ fn high_sigma_actually_diverges() {
 
 /// Deferred repair must actually amortise: at least one per-pass drain
 /// has to carry more than one lane, or the batched path degenerates to
-/// the inline fallback with extra bookkeeping and the hoisted-span
+/// per-lane reruns with extra bookkeeping and the hoisted-span
 /// accounting measures nothing. Same deterministic sweep as
 /// [`high_sigma_actually_diverges`], with every pass's divergent lanes
 /// queued and drained; the drained results must match a per-lane wheel
