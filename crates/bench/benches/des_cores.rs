@@ -35,7 +35,7 @@ fn bench_masked_cores(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_gate_level(c: &mut Criterion) {
+fn bench_netlist_core(c: &mut Criterion) {
     let core = build_des_core(SboxStyle::Ff);
     let mut rng = MaskRng::new(8);
     let mut g = c.benchmark_group("gate_level");
@@ -51,5 +51,5 @@ fn bench_gate_level(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_reference, bench_masked_cores, bench_gate_level);
+criterion_group!(benches, bench_reference, bench_masked_cores, bench_netlist_core);
 criterion_main!(benches);

@@ -12,7 +12,9 @@
 //! energy arises from timing alone; acquisition goes through the shared
 //! [`gm_bench::gate`] sources and the persistent-worker campaign pool.
 //! The analytic rule (`gm_core::schedule::predicted_leaky`) and a
-//! Monte-Carlo glitch-extended probe cross-check every row.
+//! Monte-Carlo glitch-extended probe cross-check every row. The binary
+//! exits 1, after printing the table and writing the CSV, when any
+//! order's measured verdict disagrees with the analytic rule.
 
 use gm_bench::gate::{build_sec_and2_bank, SequenceSource, CYCLE_PS};
 use gm_bench::{Args, MetricsSink};
@@ -44,7 +46,7 @@ fn main() {
     println!("  #  sequence (cycle 1..4)   max|t1|  leaks  glitch-bias  predicted  agree");
     println!("  -- ----------------------  -------  -----  -----------  ---------  -----");
 
-    let mut agreements = 0;
+    let mut mismatches = Vec::new();
     let mut rows = Vec::new();
     for (i, seq) in all_sequences().into_iter().enumerate() {
         let src = if args.scalar {
@@ -52,11 +54,11 @@ fn main() {
         } else {
             SequenceSource::new(Arc::clone(&bank), Arc::clone(&delays), seq, args.seed)
         };
-        let result = metrics.run(
-            &format!("seq{:02}", i + 1),
-            &Campaign::parallel(traces, args.seed ^ i as u64),
-            &src,
-        );
+        let mut campaign = Campaign::parallel(traces, args.seed ^ i as u64);
+        if let Some(t) = args.threads {
+            campaign.threads = t;
+        }
+        let result = metrics.run(&format!("seq{:02}", i + 1), &campaign, &src);
         let t1 = result.t1();
         let measured_leak = leaks(&t1);
         let max_t = t1.iter().fold(0.0f64, |m, t| m.max(t.abs()));
@@ -78,7 +80,9 @@ fn main() {
 
         let predicted = predicted_leaky(&seq);
         let agree = measured_leak == predicted;
-        agreements += usize::from(agree);
+        if !agree {
+            mismatches.push(format!("#{} ({})", i + 1, seq_string(&seq).trim_start()));
+        }
         println!(
             "  {:>2}  {}  {:>7.2}  {:>5}  {:>11.3}  {:>9}  {}",
             i + 1,
@@ -93,7 +97,10 @@ fn main() {
     }
 
     println!();
-    println!("Agreement with the paper's rule (leaks ⇔ x0/x1 last): {agreements}/24");
+    println!(
+        "Agreement with the paper's rule (leaks ⇔ x0/x1 last): {}/24",
+        rows.len() - mismatches.len()
+    );
     println!("Paper's Table I: sequences ending in x0/x1 leak; ending in y0/y1 do not.");
     println!("TVLA threshold ±{THRESHOLD}.");
 
@@ -110,4 +117,12 @@ fn main() {
     .expect("write CSV");
     println!("CSV written to {path}");
     metrics.finish().expect("write metrics");
+    if !mismatches.is_empty() {
+        eprintln!(
+            "table1: {} arrival order(s) disagree with the predicted leaky/safe verdict: {}",
+            mismatches.len(),
+            mismatches.join(", ")
+        );
+        std::process::exit(1);
+    }
 }

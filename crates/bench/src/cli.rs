@@ -16,8 +16,8 @@ pub struct Args {
     pub quick: bool,
     /// `--threads N`: worker threads for campaign binaries that honour it.
     pub threads: Option<usize>,
-    /// `--label S`: free-form label attached to recorded results
-    /// (used by `bench_tvla` to tag BENCH_tvla.json entries).
+    /// `--label S`: free-form label attached to every `--metrics`
+    /// record.
     pub label: Option<String>,
     /// `--gate-level`: run the campaign on the event-driven gate-level
     /// netlist instead of the cycle model (binaries that support both).
@@ -110,19 +110,6 @@ impl Args {
     pub fn trace_count(&self, quick: u64, full: u64) -> u64 {
         self.traces.unwrap_or(if self.quick { quick } else { full })
     }
-
-    /// Worker-thread count: explicit `--threads`, else every core the
-    /// machine offers. This is THE default for campaign bench binaries
-    /// (`bench_tvla` and `bench_gate` both use it) so recorded rows are
-    /// comparable; every bench row records the count actually used.
-    pub fn thread_count(&self) -> usize {
-        self.threads.unwrap_or_else(default_threads)
-    }
-}
-
-/// `available_parallelism`, with 1 when the machine cannot say.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Shared gate-level TVLA trace sources.
 //!
-//! The event-driven campaigns (`table1`, `fig15_gate`, `bench_gate`) all
+//! The event-driven campaigns (`table1`, `fig15_gate` and the
+//! benchmark's `table1-orders` and `fig15-placement` workloads) all
 //! acquire traces the same way: a small gadget bank netlist, per-device
 //! delay model, per-trace masked stimulus, switching-activity power. This
 //! module holds the [`gm_leakage::TraceSource`] implementations so every
@@ -663,9 +664,8 @@ mod tests {
     /// worker forks its own device streams from its index, so repeating
     /// the identical campaign reproduces the bias bit-for-bit. Across
     /// *different* thread counts the per-worker streams regroup and the
-    /// estimate moves within its `1/√N` sampling noise — that is the
-    /// cross-row drift of `placement_bias` in `BENCH_gate.json`
-    /// (documented in EXPERIMENTS.md), not a backend change.
+    /// estimate moves within its `1/√N` sampling noise (documented in
+    /// EXPERIMENTS.md), not a backend change.
     #[test]
     fn placement_bias_is_seed_stable() {
         let gadget = Arc::new(build_pd_gadget(2));

@@ -25,6 +25,7 @@
 //! | SNR vs. gadget replication | `snr_replication` |
 //! | Leak-model calibration sweep | `calibrate` |
 //! | Simulation throughput probe | `speed_probe` |
+//! | Campaign throughput and per-layer cost (the repository benchmark) | `benchmark` |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,8 +35,6 @@ pub mod gate;
 pub mod json;
 pub mod metrics;
 pub mod panel;
-pub mod record;
 
 pub use cli::Args;
 pub use metrics::MetricsSink;
-pub use record::{read_records, BenchRecord};

@@ -7,8 +7,8 @@
 //! convergence telemetry, or records hand-timed phases with
 //! [`MetricsSink::record_phase`]). Records stream to the `--metrics`
 //! JSONL file the moment they exist, each as one single-buffer write —
-//! `"kind":"phase"` records carry the same `traces`/`threads`/`git_rev`
-//! envelope as the `BENCH_*.json` records; `"kind":"progress"` records
+//! `"kind":"phase"` records carry a `traces`/`threads`/`git_rev`
+//! envelope and the phase's counters; `"kind":"progress"` records
 //! carry incremental max-|t| / traces-done / throughput snapshots. At
 //! exit, [`MetricsSink::finish`] exports the captured span tree as
 //! Chrome trace-event JSON (under `--trace-out`) and prints a
@@ -21,12 +21,12 @@
 //! is collected, written, or printed.
 
 use crate::cli::Args;
-use crate::record::{atomic_write, git_rev};
 use gm_leakage::{Campaign, CampaignObs, TraceSource, TvlaResult};
 use gm_obs::fmt::{human_count, human_ns};
 use gm_obs::{escape_into, Report};
 use std::fs::File;
 use std::io::Write;
+use std::path::Path;
 use std::time::Instant;
 
 /// One observed phase (usually one TVLA campaign) of a binary's run.
@@ -463,6 +463,43 @@ pub fn assert_metrics_overhead<S: TraceSource>(
     );
 }
 
+/// Short git revision of the working tree, for provenance in metrics
+/// records. Returns `"unknown"` outside a git checkout (e.g. a source
+/// tarball) so the binaries never fail over bookkeeping.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_owned())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_owned())
+}
+
+/// Write `body` to `path` atomically: write to a sibling temp file, sync,
+/// then rename over the destination. Readers never observe a torn file.
+fn atomic_write(path: &str, body: &str) -> std::io::Result<()> {
+    let dest = Path::new(path);
+    let dir = dest.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or_else(|| Path::new("."));
+    let file_name = dest.file_name().and_then(|n| n.to_str()).ok_or_else(|| {
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("bad path {path}"))
+    })?;
+    let tmp = dir.join(format!(".{file_name}.tmp.{}", std::process::id()));
+    let mut f = File::create(&tmp)?;
+    f.write_all(body.as_bytes())?;
+    f.sync_all()?;
+    drop(f);
+    match std::fs::rename(&tmp, dest) {
+        Ok(()) => Ok(()),
+        Err(e) => {
+            let _ = std::fs::remove_file(&tmp);
+            Err(e)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -672,5 +709,23 @@ mod tests {
         assert_eq!(counters.get("pool.blocks"), Some(2));
         assert!(counters.get("pool.acquire_ns").unwrap_or(0) > 0);
         assert!(counters.iter().any(|(k, _)| k.starts_with("pool.block_ns.ge")));
+    }
+
+    #[test]
+    fn atomic_write_replaces_and_leaves_no_temp() {
+        let dir = std::env::temp_dir().join("gm_bench_atomic_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("x.json");
+        let path = path.to_str().unwrap();
+        atomic_write(path, "one").unwrap();
+        atomic_write(path, "two").unwrap();
+        assert_eq!(std::fs::read_to_string(path).unwrap(), "two");
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
+            .collect();
+        assert!(leftovers.is_empty(), "temp files must not survive: {leftovers:?}");
+        let _ = std::fs::remove_file(path);
     }
 }

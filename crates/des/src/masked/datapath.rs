@@ -151,10 +151,6 @@ impl MaskedDes {
 
     /// Draw the round's fresh-randomness pools (1 when recycling, 8
     /// otherwise).
-    pub fn draw_round_pools(&self, rng: &mut MaskRng) -> Vec<SboxRandomness> {
-        self.draw_pools(rng)
-    }
-
     fn draw_pools(&self, rng: &mut MaskRng) -> Vec<SboxRandomness> {
         if self.recycle_randomness {
             vec![SboxRandomness::draw(rng)]

@@ -688,8 +688,7 @@ mod tests {
 
     /// Fig. 14 golden check: the full *parallel* campaign pipeline
     /// (persistent worker pool, per-worker source forks, blocked moment
-    /// merge) reports the same `max|t1|` on both backends to 1e-9 —
-    /// the acceptance criterion `bench_tvla` asserts on every run,
+    /// merge) reports the same `max|t1|` on both backends to 1e-9,
     /// pinned here at test size.
     #[test]
     fn fig14_parallel_max_t1_matches_scalar_golden() {

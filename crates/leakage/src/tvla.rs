@@ -571,17 +571,7 @@ impl Campaign {
     /// Run the whole campaign while streaming live convergence
     /// snapshots: `on_progress` is invoked with a merged block-boundary
     /// snapshot roughly every `every` acquired traces, and once more
-    /// with the final result.
-    pub fn run_streamed<S: TraceSource>(
-        &self,
-        source: &S,
-        every: u64,
-        on_progress: impl FnMut(&TvlaResult),
-    ) -> TvlaResult {
-        self.run_streamed_observed(source, every, on_progress).0
-    }
-
-    /// Like [`Campaign::run_streamed`], additionally returning the
+    /// with the final result. Returns the result together with the
     /// [`CampaignObs`] of the run.
     ///
     /// Workers publish their cumulative per-class moments into lock-free
@@ -772,7 +762,8 @@ impl Campaign {
                 // result by a few ULPs between identical runs. Sorting
                 // by worker index first makes the whole parallel
                 // campaign a pure function of (seed, traces, threads) —
-                // the reproducibility `bench_gate` asserts at scale.
+                // the reproducibility `placement_bias_is_seed_stable`
+                // asserts.
                 // Progress notifications interleave with the partials on
                 // the same channel and are handled here, on the
                 // coordinator thread, by merging the published slots on
@@ -1088,12 +1079,14 @@ mod tests {
         let c = Campaign::sequential(4_000, 23);
         let mut counts = Vec::new();
         let mut final_t1 = Vec::new();
-        let r = c.run_streamed(&LeakyToy::new(0.2), 200, |snap| {
-            counts.push(snap.total_traces());
-            if snap.fixed.count() >= 2 && snap.random.count() >= 2 {
-                final_t1 = snap.t1();
-            }
-        });
+        let r = c
+            .run_streamed_observed(&LeakyToy::new(0.2), 200, |snap| {
+                counts.push(snap.total_traces());
+                if snap.fixed.count() >= 2 && snap.random.count() >= 2 {
+                    final_t1 = snap.t1();
+                }
+            })
+            .0;
         let one_shot = c.run(&LeakyToy::new(0.2));
         assert!(counts.len() >= 10, "4000 traces / 256-blocks at cadence 200: {counts:?}");
         assert!(counts.windows(2).all(|w| w[0] <= w[1]), "monotone counts: {counts:?}");
@@ -1107,9 +1100,11 @@ mod tests {
     fn streamed_parallel_matches_one_shot() {
         let c = Campaign { traces: 6_000, threads: 4, seed: 29 };
         let mut counts = Vec::new();
-        let r = c.run_streamed(&LeakyToy::new(0.2), 500, |snap| {
-            counts.push(snap.total_traces());
-        });
+        let r = c
+            .run_streamed_observed(&LeakyToy::new(0.2), 500, |snap| {
+                counts.push(snap.total_traces());
+            })
+            .0;
         let one_shot = c.run(&LeakyToy::new(0.2));
         assert!(!counts.is_empty());
         assert!(counts.windows(2).all(|w| w[0] <= w[1]), "monotone counts: {counts:?}");
@@ -1122,7 +1117,7 @@ mod tests {
     #[should_panic(expected = "progress cadence must be positive")]
     fn zero_cadence_panics() {
         let c = Campaign::sequential(100, 1);
-        let _ = c.run_streamed(&LeakyToy::new(0.0), 0, |_| {});
+        let _ = c.run_streamed_observed(&LeakyToy::new(0.0), 0, |_| {}).0;
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! which carries per-lane event times alongside the lane words.
 
 use crate::eval::EvalPlan;
-use crate::gate::{Gate, GateKind};
+use crate::gate::GateKind;
 use crate::netlist::{Driver, Netlist};
 use crate::GateId;
 use gm_obs::Counter;
@@ -537,12 +537,6 @@ impl BitEvaluator {
     pub fn ff_gates(&self) -> &[GateId] {
         &self.plan.ff_gates
     }
-}
-
-/// Sanity helper for tests and harnesses: evaluate `gate`'s word function
-/// directly (combinational cells only).
-pub fn gate_word(gate: &Gate, pins: &[u64]) -> u64 {
-    eval_word(gate.kind, pins)
 }
 
 #[cfg(test)]

@@ -81,11 +81,6 @@ impl DelayModel {
         self.jitter_sigma_ps
     }
 
-    /// Override the per-event jitter sigma.
-    pub fn set_jitter_sigma_ps(&mut self, sigma: f64) {
-        self.jitter_sigma_ps = sigma;
-    }
-
     /// Inertial pulse-rejection width in ps (see
     /// [`DEFAULT_PULSE_REJECT_PS`]).
     pub fn pulse_reject_ps(&self) -> u64 {
