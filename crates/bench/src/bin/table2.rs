@@ -6,7 +6,9 @@
 //! the sequence with a fixed-vs-random TVLA on the event-driven
 //! simulation — plus an ablation with a deliberately wrong sequence
 //! (an `x` share arriving last, Table I's leaky pattern), which must
-//! leak.
+//! leak. The binary exits 1, after printing the table and writing the
+//! metrics, when any row's measured verdict disagrees with the expected
+//! one, naming those rows.
 //!
 //! Like the other glitch-domain campaigns this one runs on the
 //! compiled-schedule lane backend (see DESIGN.md §2.9): the stimulus
@@ -295,6 +297,7 @@ fn main() {
     println!("  row                      max|t1|  leaks   expected");
     println!("  -----------------------  -------  ------  --------");
 
+    let mut mismatches = Vec::new();
     for k in [2usize, 3, 4] {
         for sabotage in [false, true] {
             let bank = Arc::new(build_chain_bank(k, sabotage));
@@ -326,6 +329,9 @@ fn main() {
                 if expected { "LEAK" } else { "safe" },
                 if leak == expected { "" } else { "   ** UNEXPECTED **" },
             );
+            if leak != expected {
+                mismatches.push(format!("{k} vars {label}"));
+            }
         }
     }
     println!();
@@ -338,4 +344,12 @@ fn main() {
     println!("simulator resolves a ~0.02-toggle residual bias in the unrefreshed");
     println!("chain — beneath the resolution of the paper's 500k-trace setup.");
     metrics.finish().expect("write metrics");
+    if !mismatches.is_empty() {
+        eprintln!(
+            "table2: {} row(s) disagree with the expected leaky/safe verdict: {}",
+            mismatches.len(),
+            mismatches.join(", ")
+        );
+        std::process::exit(1);
+    }
 }

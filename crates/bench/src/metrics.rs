@@ -233,7 +233,8 @@ impl MetricsSink {
     }
 
     /// Append one record to the JSONL file as a single write (`write_all`
-    /// of the line plus newline in one buffer, then flush). A crash or
+    /// of the line plus newline in one buffer, then flush), panicking with
+    /// the path and the OS error when the write fails. A crash or
     /// kill between records loses nothing; a kill mid-write can truncate
     /// only the final, unterminated line (a `write(2)` spanning a page
     /// boundary commits page by page), so every newline-terminated line a
@@ -244,8 +245,10 @@ impl MetricsSink {
         buf.push_str(record);
         buf.push('\n');
         let mut f: &File = file;
-        f.write_all(buf.as_bytes()).expect("write metrics record");
-        f.flush().expect("flush metrics record");
+        let path = self.path.as_deref().unwrap_or_default();
+        f.write_all(buf.as_bytes())
+            .and_then(|()| f.flush())
+            .unwrap_or_else(|e| panic!("cannot write --metrics {path}: {e}"));
     }
 
     /// Shared opening of every JSONL record: `bin`, `kind`, optional
@@ -552,6 +555,21 @@ mod tests {
         assert_eq!(r.total_traces(), 600);
         assert!(sink.phases().is_empty());
         sink.finish().unwrap();
+    }
+
+    /// A failed record write (here ENOSPC) names the metrics file and the
+    /// OS error instead of a bare `expect` message.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn full_disk_names_the_metrics_file() {
+        let mut sink = MetricsSink::from_args("t", &test_args(Some("/dev/full")));
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sink.record_phase("p", 0.1, 1, Report::new())
+        }))
+        .expect_err("writing to /dev/full must fail");
+        let msg = err.downcast_ref::<String>().expect("formatted panic message");
+        assert!(msg.contains("/dev/full"), "{msg}");
+        assert!(msg.contains("No space left on device"), "{msg}");
     }
 
     #[test]

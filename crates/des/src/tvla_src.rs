@@ -830,6 +830,51 @@ mod tests {
         assert!(src.iter().any(|(k, _)| k.starts_with("sim.wheel.")), "wheel stats present");
     }
 
+    /// FNV-1a over the bits of both classes' moment state: count, every
+    /// mean and every central sum of orders 2–6.
+    fn moment_bits(r: &gm_leakage::TvlaResult) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |w: u64| {
+            for b in w.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for m in [&r.fixed, &r.random] {
+            eat(m.count());
+            for i in 0..m.len() {
+                eat(m.mean()[i].to_bits());
+                for p in 2..=6 {
+                    eat(m.central_sum(p, i).to_bits());
+                }
+            }
+        }
+        h
+    }
+
+    /// Bit pin of the cycle-model statistics path: noise draw, block fold
+    /// and Pébay merge. The other campaign tests compare two backends
+    /// that share [`gm_leakage::TraceMoments`], so a kernel change that
+    /// moves one bit of the moment state on both sides passes them; this
+    /// one fails. The constants were recorded before the blocked kernels
+    /// replaced the per-sample loops and must never be re-recorded to
+    /// make a kernel change pass.
+    #[test]
+    fn cycle_model_moment_state_is_bit_pinned() {
+        let ff = SourceConfig::new(CoreVariant::Ff);
+        let pd = SourceConfig::new(CoreVariant::Pd { unit_luts: 10 });
+        let seq = Campaign::sequential(700, 9);
+        let got_ff = moment_bits(&seq.run(&BitslicedCycleSource::new(ff)));
+        let got_pd = moment_bits(&seq.run(&BitslicedCycleSource::new(pd.clone())));
+        let streamed = Campaign { traces: 700, threads: 2, seed: 9 };
+        let (r, _) = streamed.run_streamed_observed(&BitslicedCycleSource::new(pd), 100, |_| {});
+        let got_stream = moment_bits(&r);
+        assert_eq!(
+            [got_ff, got_pd, got_stream],
+            [0x52ce_caef_3121_7bb8, 0x9420_0ac6_70a5_9bfa, 0x4c12_d778_fbe8_15f5],
+            "moment-state bits moved: {got_ff:#018x} {got_pd:#018x} {got_stream:#018x}"
+        );
+    }
+
     /// Gate-level campaigns at threads = 1 are bit-reproducible: the
     /// persistent per-worker driver/sink state must not leak anything
     /// from one run into the next (each `run` re-forks the source).

@@ -158,6 +158,15 @@ impl TraceMoments {
     /// The Pébay two-set combination over raw parts: fold a set of `nb`
     /// traces with per-sample means `mean_b` and central sums `m_b` into
     /// `self`. Shared by [`Self::merge`] and [`Self::add_block`].
+    ///
+    /// Runs per tile of [`MERGE_TILE`] samples: one pass derives each
+    /// sample's `δ`-scaled factors into stack tiles, then one elementwise
+    /// sweep per order, highest first, updates that order in place — an
+    /// order reads only its own old sum and those of lower orders, which
+    /// the sweeps below it have not yet touched. Every element sees
+    /// exactly the per-sample two-set formula, in the same operation
+    /// order, so the state is bit-identical to the scalar per-sample
+    /// merge kept in the tests as its oracle.
     fn merge_parts(&mut self, nb_traces: u64, mean_b: &[f64], m_b: &[Vec<f64>; 5]) {
         if nb_traces == 0 {
             return;
@@ -173,26 +182,37 @@ impl TraceMoments {
         let na = self.n as f64;
         let nb = nb_traces as f64;
         let n = na + nb;
-        for i in 0..self.len() {
-            let delta = mean_b[i] - self.mean[i];
-            // General two-set combination, orders high to low.
-            let mut new_m = [0.0f64; 5];
-            for p in 2..=6usize {
-                let mut acc = self.m[p - 2][i] + m_b[p - 2][i];
-                let mut term_a = 1.0; // (-nb*delta/n)^k
-                let mut term_b = 1.0; // ( na*delta/n)^k
-                for k in 1..=(p - 2) {
-                    term_a *= -nb * delta / n;
-                    term_b *= na * delta / n;
-                    acc +=
-                        BINOM[p][k] * (term_a * self.m[p - k - 2][i] + term_b * m_b[p - k - 2][i]);
-                }
-                let lead = (na * nb * delta / n).powi(p as i32);
-                let tail = lead * (1.0 / nb.powi(p as i32 - 1) - (-1.0 / na).powi(p as i32 - 1));
-                new_m[p - 2] = acc + tail;
+        let na_nb = na * nb;
+        // (1/nb^(p-1) − (−1/na)^(p-1)), the order-p lead coefficient.
+        let tail: [f64; 5] = std::array::from_fn(|q| {
+            let p = q as i32 + 2;
+            1.0 / nb.powi(p - 1) - (-1.0 / na).powi(p - 1)
+        });
+        let mut f = MergeFactors {
+            delta: [0.0; MERGE_TILE],
+            a: [0.0; MERGE_TILE],
+            b: [0.0; MERGE_TILE],
+            lead: [0.0; MERGE_TILE],
+        };
+        for c in (0..self.len()).step_by(MERGE_TILE) {
+            let w = (self.len() - c).min(MERGE_TILE);
+            let mean_a = &self.mean[c..c + w];
+            for (j, (&ma, &mb)) in mean_a.iter().zip(&mean_b[c..c + w]).enumerate() {
+                let delta = mb - ma;
+                f.delta[j] = delta;
+                f.a[j] = -nb * delta / n;
+                f.b[j] = na * delta / n;
+                f.lead[j] = na_nb * delta / n;
             }
-            self.m.iter_mut().zip(new_m).for_each(|(m, v)| m[i] = v);
-            self.mean[i] += nb * delta / n;
+            let (ma, mb) = (&mut self.m, m_b);
+            merge_order::<6>(ma, mb, c, w, &f, tail[4]);
+            merge_order::<5>(ma, mb, c, w, &f, tail[3]);
+            merge_order::<4>(ma, mb, c, w, &f, tail[2]);
+            merge_order::<3>(ma, mb, c, w, &f, tail[1]);
+            merge_order::<2>(ma, mb, c, w, &f, tail[0]);
+            for (m, &delta) in self.mean[c..c + w].iter_mut().zip(&f.delta) {
+                *m += nb * delta / n;
+            }
         }
         self.n += nb_traces;
     }
@@ -203,9 +223,11 @@ impl TraceMoments {
     /// Two plain passes over the block — per-sample means, then central
     /// power sums around the block mean — followed by one Pébay two-set
     /// fold ([`Self::merge`]'s math). Unlike per-trace [`Self::add`],
-    /// whose order-2–6 update chains through every trace, the block
-    /// passes carry no loop dependency across samples and auto-vectorise;
-    /// `scratch` makes the path allocation-free.
+    /// whose order-2–6 update chains through every trace, the passes
+    /// carry no dependency across samples: they run over register-held
+    /// columns of up to 8 samples, rows inside, so each sample's sums
+    /// still add the rows in row order. `scratch` makes the path
+    /// allocation-free.
     ///
     /// # Panics
     ///
@@ -228,37 +250,113 @@ impl TraceMoments {
             self.merge_parts(1, &scratch.mean, &scratch.m);
             return;
         }
-
-        // Pass 1: per-sample block means.
-        scratch.mean.fill(0.0);
-        for row in block.chunks_exact(len) {
-            for (acc, &x) in scratch.mean.iter_mut().zip(row) {
-                *acc += x;
-            }
-        }
         let inv_k = 1.0 / k as f64;
-        for acc in &mut scratch.mean {
-            *acc *= inv_k;
+        let mut c = 0;
+        while len - c >= 8 {
+            fold_columns::<8>(block, len, c, inv_k, scratch);
+            c += 8;
         }
-
-        // Pass 2: plain central power sums around the block mean.
-        for m in &mut scratch.m {
-            m.fill(0.0);
+        if len - c >= 4 {
+            fold_columns::<4>(block, len, c, inv_k, scratch);
+            c += 4;
         }
-        let [m2, m3, m4, m5, m6] = &mut scratch.m;
-        for row in block.chunks_exact(len) {
-            for i in 0..len {
-                let d = row[i] - scratch.mean[i];
-                let d2 = d * d;
-                let d3 = d2 * d;
-                m2[i] += d2;
-                m3[i] += d3;
-                m4[i] += d2 * d2;
-                m5[i] += d2 * d3;
-                m6[i] += d3 * d3;
-            }
+        if len - c >= 2 {
+            fold_columns::<2>(block, len, c, inv_k, scratch);
+            c += 2;
+        }
+        if len - c == 1 {
+            fold_columns::<1>(block, len, c, inv_k, scratch);
         }
         self.merge_parts(k as u64, &scratch.mean, &scratch.m);
+    }
+}
+
+/// Samples per [`TraceMoments::merge_parts`] tile.
+const MERGE_TILE: usize = 64;
+
+/// Per-sample factors of one merge tile: `δ = mean_b − mean_a`,
+/// `−nb·δ/n`, `na·δ/n` and `na·nb·δ/n`.
+struct MergeFactors {
+    delta: [f64; MERGE_TILE],
+    a: [f64; MERGE_TILE],
+    b: [f64; MERGE_TILE],
+    lead: [f64; MERGE_TILE],
+}
+
+/// One order-`P` sweep of the Pébay two-set merge over samples
+/// `c..c + w`, in place: `M_P ← M_P,a + M_P,b + Σ_k C(P,k)·(a^k·M_{P−k},a
+/// + b^k·M_{P−k},b) + lead^P·tail`. Reads orders below `P` only, so
+/// sweeping `P = 6, 5, …, 2` sees every order's old sums.
+#[inline(always)]
+fn merge_order<const P: usize>(
+    ma: &mut [Vec<f64>; 5],
+    mb: &[Vec<f64>; 5],
+    c: usize,
+    w: usize,
+    f: &MergeFactors,
+    tail: f64,
+) {
+    let (lower, upper) = ma.split_at_mut(P - 2);
+    // Orders 2..P of `a` (slots from P − 2 on stay empty) and all of `b`.
+    let lower: [&[f64]; 5] =
+        std::array::from_fn(|q| lower.get(q).map_or(&[][..], |v| &v[c..c + w]));
+    let lower_b: [&[f64]; 5] = std::array::from_fn(|q| &mb[q][c..c + w]);
+    let dst = &mut upper[0][c..c + w];
+    for j in 0..w {
+        let mut acc = dst[j] + lower_b[P - 2][j];
+        let mut term_a = 1.0;
+        let mut term_b = 1.0;
+        for k in 1..=(P - 2) {
+            term_a *= f.a[j];
+            term_b *= f.b[j];
+            acc += BINOM[P][k] * (term_a * lower[P - k - 2][j] + term_b * lower_b[P - k - 2][j]);
+        }
+        dst[j] = acc + f.lead[j].powi(P as i32) * tail;
+    }
+}
+
+/// Both block passes for the `W` sample columns starting at `c`: the
+/// column means (row-order sums times `1/k`), then the central power
+/// sums of orders 2–6 around them, all held in registers across the
+/// rows and written to `scratch` once.
+#[inline(always)]
+fn fold_columns<const W: usize>(
+    block: &[f64],
+    len: usize,
+    c: usize,
+    inv_k: f64,
+    scratch: &mut BlockScratch,
+) {
+    let rows = || {
+        block.chunks_exact(len).map(|row| -> &[f64; W] {
+            row[c..c + W].try_into().expect("column tile inside the row")
+        })
+    };
+    let mut mean = [0.0f64; W];
+    for x in rows() {
+        for j in 0..W {
+            mean[j] += x[j];
+        }
+    }
+    for m in &mut mean {
+        *m *= inv_k;
+    }
+    let mut s = [[0.0f64; W]; 5];
+    for x in rows() {
+        for j in 0..W {
+            let d = x[j] - mean[j];
+            let d2 = d * d;
+            let d3 = d2 * d;
+            s[0][j] += d2;
+            s[1][j] += d3;
+            s[2][j] += d2 * d2;
+            s[3][j] += d2 * d3;
+            s[4][j] += d3 * d3;
+        }
+    }
+    scratch.mean[c..c + W].copy_from_slice(&mean);
+    for (dst, s) in scratch.m.iter_mut().zip(&s) {
+        dst[c..c + W].copy_from_slice(s);
     }
 }
 
@@ -411,6 +509,147 @@ mod tests {
             for p in 2..=6 {
                 let (a, b) = (mixed.central_sum(p, i), scalar.central_sum(p, i));
                 assert!(((a - b) / b.abs().max(1.0)).abs() < 1e-9, "order {p} sample {i}");
+            }
+        }
+    }
+
+    /// The row-at-a-time `add_block` passes and scalar per-sample
+    /// `merge_parts` that the blocked kernels replaced, kept verbatim as
+    /// their bit-level oracle.
+    fn reference_merge_parts(
+        s: &mut TraceMoments,
+        nb_traces: u64,
+        mean_b: &[f64],
+        m_b: &[Vec<f64>; 5],
+    ) {
+        if nb_traces == 0 {
+            return;
+        }
+        if s.n == 0 {
+            s.n = nb_traces;
+            s.mean.copy_from_slice(mean_b);
+            for (dst, src) in s.m.iter_mut().zip(m_b) {
+                dst.copy_from_slice(src);
+            }
+            return;
+        }
+        let na = s.n as f64;
+        let nb = nb_traces as f64;
+        let n = na + nb;
+        for i in 0..s.len() {
+            let delta = mean_b[i] - s.mean[i];
+            let mut new_m = [0.0f64; 5];
+            for p in 2..=6usize {
+                let mut acc = s.m[p - 2][i] + m_b[p - 2][i];
+                let mut term_a = 1.0;
+                let mut term_b = 1.0;
+                for k in 1..=(p - 2) {
+                    term_a *= -nb * delta / n;
+                    term_b *= na * delta / n;
+                    acc += BINOM[p][k] * (term_a * s.m[p - k - 2][i] + term_b * m_b[p - k - 2][i]);
+                }
+                let lead = (na * nb * delta / n).powi(p as i32);
+                let tail = lead * (1.0 / nb.powi(p as i32 - 1) - (-1.0 / na).powi(p as i32 - 1));
+                new_m[p - 2] = acc + tail;
+            }
+            s.m.iter_mut().zip(new_m).for_each(|(m, v)| m[i] = v);
+            s.mean[i] += nb * delta / n;
+        }
+        s.n += nb_traces;
+    }
+
+    fn reference_add_block(s: &mut TraceMoments, block: &[f64]) {
+        let len = s.len();
+        let k = block.len() / len;
+        let mut mean = vec![0.0; len];
+        let mut m: [Vec<f64>; 5] = std::array::from_fn(|_| vec![0.0; len]);
+        if k == 1 {
+            mean.copy_from_slice(block);
+            return reference_merge_parts(s, 1, &mean, &m);
+        }
+        for row in block.chunks_exact(len) {
+            for (acc, &x) in mean.iter_mut().zip(row) {
+                *acc += x;
+            }
+        }
+        let inv_k = 1.0 / k as f64;
+        for acc in &mut mean {
+            *acc *= inv_k;
+        }
+        let [m2, m3, m4, m5, m6] = &mut m;
+        for row in block.chunks_exact(len) {
+            for i in 0..len {
+                let d = row[i] - mean[i];
+                let d2 = d * d;
+                let d3 = d2 * d;
+                m2[i] += d2;
+                m3[i] += d3;
+                m4[i] += d2 * d2;
+                m5[i] += d2 * d3;
+                m6[i] += d3 * d3;
+            }
+        }
+        reference_merge_parts(s, k as u64, &mean, &m);
+    }
+
+    /// Every bit of the moment state: count, means, central sums.
+    fn state_bits(m: &TraceMoments) -> Vec<u64> {
+        let sums = m.m.iter().flatten();
+        std::iter::once(m.n).chain(m.mean.iter().chain(sums).map(|x| x.to_bits())).collect()
+    }
+
+    /// Trace lengths and block sizes the blocked kernels must handle:
+    /// column tails of every width, the campaign shapes (Table I has 4
+    /// samples, Fig. 15 one, the PD core 34, the FF core 115).
+    const LENS: [usize; 8] = [1, 4, 7, 8, 9, 34, 115, 117];
+    const KS: [usize; 5] = [1, 2, 63, 128, 256];
+
+    /// Blocked `add_block` is bit-identical to the row-at-a-time oracle,
+    /// folding into an empty accumulator, a small one, and one far
+    /// larger than the block (`na ≫ nb`).
+    #[test]
+    fn add_block_bit_identical_to_reference() {
+        for len in LENS {
+            let mut scratch = BlockScratch::new(len);
+            for (salt, k) in KS.into_iter().enumerate() {
+                let block = toy_block(k, len, salt as u64);
+                for prior in [0usize, 3, 2_000] {
+                    let mut want = TraceMoments::new(len);
+                    let mut got = TraceMoments::new(len);
+                    if prior > 0 {
+                        let head = toy_block(prior, len, 99 + salt as u64);
+                        reference_add_block(&mut want, &head);
+                        reference_add_block(&mut got, &head);
+                    }
+                    reference_add_block(&mut want, &block);
+                    got.add_block(&block, &mut scratch);
+                    let case = format!("len {len}, k {k}, prior {prior}");
+                    assert!(state_bits(&got) == state_bits(&want), "{case}");
+                }
+            }
+        }
+    }
+
+    /// Tiled `merge` is bit-identical to the scalar oracle: into an empty
+    /// accumulator, from an empty one, and at both extremes of
+    /// `na / nb`.
+    #[test]
+    fn merge_bit_identical_to_reference() {
+        for len in LENS {
+            let state = |traces: usize, salt: u64| {
+                let mut m = TraceMoments::new(len);
+                if traces > 0 {
+                    reference_add_block(&mut m, &toy_block(traces, len, salt));
+                }
+                m
+            };
+            for (na, nb) in [(0, 5), (5, 0), (1, 1), (2, 63), (128, 128), (5_000, 1), (1, 5_000)] {
+                let (a, b) = (state(na, 7), state(nb, 8));
+                let mut want = a.clone();
+                reference_merge_parts(&mut want, b.n, &b.mean, &b.m);
+                let mut got = a;
+                got.merge(&b);
+                assert!(state_bits(&got) == state_bits(&want), "len {len}, na {na}, nb {nb}");
             }
         }
     }

@@ -51,15 +51,16 @@ fn zig_tables() -> &'static ZigTables {
 /// A word source that serves a prefetched run of raw PRNG output before
 /// falling through to the live generator.
 ///
-/// The xoshiro step is a short serial dependency chain; interleaved with
-/// the ziggurat transform, every draw stalls on the previous state
-/// update. Prefetching one word per output sample in a tight loop lets
-/// that chain retire back-to-back, and the transform loop then reads
-/// words with no cross-iteration dependency. Each ziggurat sample
-/// consumes **at least** one word, so a prefetch of `out.len()` words
-/// never outlives its fill call: rejections simply overflow to the live
-/// generator, whose state already sits past the prefetched run — the
-/// consumed stream is position-for-position the sequential one.
+/// [`MeasurementModel::fill_gauss`] prefetches one word per output
+/// sample and resolves every fast-path acceptance straight from the
+/// prefetched words. A word that fails the fast path re-enters
+/// [`gauss_with`] through this source, positioned at that word: the
+/// ziggurat re-reads it, and its wedge or tail draws take the words
+/// after it. Each ziggurat sample consumes **at least** one word, so the
+/// prefetch never outlives its fill call: draws that run past the
+/// prefetched run fall through to the live generator, whose state
+/// already sits past it — the consumed stream is position-for-position
+/// the sequential one.
 struct BufferedWords<'a> {
     buf: &'a [u64],
     pos: usize,
@@ -84,16 +85,23 @@ impl RngCore for BufferedWords<'_> {
     }
 }
 
+/// One raw word's layer index `i`, uniform `u` and fast-path candidate
+/// `x = u·x[i]`, accepted when `|x| < x[i + 1]`. A pure function of the
+/// word, so the bulk fill can evaluate it for a whole chunk up front.
+#[inline(always)]
+fn zig_candidate(bits: u64, t: &ZigTables) -> (usize, f64, f64) {
+    let i = (bits & 0xff) as usize;
+    // 53-bit uniform in [-1, 1) from the non-layer bits.
+    let u = ((bits >> 11) as f64) * (2.0 / 9_007_199_254_740_992.0) - 1.0;
+    (i, u, u * t.x[i])
+}
+
 /// Ziggurat core, generic over the RNG borrow so the hoisted-table bulk
 /// fill and the one-shot path share one implementation. See
 /// [`MeasurementModel::gauss`] for the algorithm notes.
 fn gauss_with<R: RngCore>(rng: &mut R, t: &ZigTables) -> f64 {
     loop {
-        let bits = rng.next_u64();
-        let i = (bits & 0xff) as usize;
-        // 53-bit uniform in [-1, 1) from the non-layer bits.
-        let u = ((bits >> 11) as f64) * (2.0 / 9_007_199_254_740_992.0) - 1.0;
-        let x = u * t.x[i];
+        let (i, u, x) = zig_candidate(rng.next_u64(), t);
         if x.abs() < t.x[i + 1] {
             return x;
         }
@@ -156,20 +164,46 @@ impl MeasurementModel {
     /// `gauss()` on the same state; the lane-major trace sources prefill
     /// one tile per 64-trace group with this so the noise stage runs
     /// once per group instead of once per sample call.
+    ///
+    /// Two phases per 1 024-sample chunk. Phase 1 prefetches one raw
+    /// word per sample (the xoshiro chain retires back-to-back) and
+    /// computes every word's fast-path candidate and accept flag, a
+    /// branch-free loop that vectorises. Phase 2 walks the words in
+    /// stream order, copies each run of accepted candidates into `out`
+    /// with one `copy_from_slice`, and hands each rejected word (~1.2 %)
+    /// to [`gauss_with`] through [`BufferedWords`], which resolves the
+    /// wedge or tail exactly as the sequential draw does.
     pub fn fill_gauss(&mut self, out: &mut [f64]) {
         let t = zig_tables();
-        // Prefetch one raw word per sample per chunk (see
-        // [`BufferedWords`]); values and stream order are untouched.
         const CHUNK: usize = 1024;
         let mut words = [0u64; CHUNK];
+        let mut cand = [0.0f64; CHUNK];
+        let mut rejected = [false; CHUNK];
         for block in out.chunks_mut(CHUNK) {
-            let prefetched = &mut words[..block.len()];
-            for w in prefetched.iter_mut() {
+            let n = block.len();
+            let (words, cand, rejected) = (&mut words[..n], &mut cand[..n], &mut rejected[..n]);
+            for w in words.iter_mut() {
                 *w = self.rng.next_u64();
             }
-            let mut src = BufferedWords { buf: prefetched, pos: 0, rng: &mut self.rng };
-            for o in block {
-                *o = gauss_with(&mut src, t);
+            for ((&w, c), r) in words.iter().zip(cand.iter_mut()).zip(rejected.iter_mut()) {
+                let (i, _, x) = zig_candidate(w, t);
+                *c = x;
+                *r = x.abs() >= t.x[i + 1];
+            }
+            // Every sample consumes at least one word, so `o <= src.pos`
+            // and a run of accepted words always fits in `block`.
+            let mut src = BufferedWords { buf: words, pos: 0, rng: &mut self.rng };
+            let mut o = 0;
+            while o < n {
+                let pos = src.pos.min(n);
+                let run = rejected[pos..].iter().position(|&r| r).unwrap_or(n - pos);
+                block[o..o + run].copy_from_slice(&cand[pos..pos + run]);
+                o += run;
+                src.pos = pos + run;
+                if o < n {
+                    block[o] = gauss_with(&mut src, t);
+                    o += 1;
+                }
             }
         }
     }
@@ -282,23 +316,101 @@ mod tests {
         assert_eq!(got, want, "sample_into");
     }
 
-    /// The bulk fill must be the same RNG stream as sequential draws.
+    /// Raw-word log of the sequential oracle, for classifying draws.
+    struct Logged {
+        rng: SmallRng,
+        words: Vec<u64>,
+    }
+
+    impl RngCore for Logged {
+        fn next_u32(&mut self) -> u32 {
+            (self.next_u64() >> 32) as u32
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            let w = self.rng.next_u64();
+            self.words.push(w);
+            w
+        }
+    }
+
+    /// Which slow paths a run of `fills` (consecutive `fill_gauss`
+    /// lengths) takes from `seed`: wedge rejections, `i == 0` tail draws,
+    /// and rejections on a chunk's last prefetched word, whose slow path
+    /// then draws from the live generator.
+    fn slow_paths(seed: u64, fills: &[usize]) -> [usize; 3] {
+        let t = zig_tables();
+        let m = MeasurementModel::new(1.0, 1.0, 12, seed);
+        let mut log = Logged { rng: m.rng, words: Vec::new() };
+        let mut hits = [0; 3];
+        for &len in fills {
+            let mut left = len;
+            while left > 0 {
+                let n = left.min(1024);
+                let last_prefetched = log.words.len() + n - 1;
+                for _ in 0..n {
+                    let start = log.words.len();
+                    gauss_with(&mut log, t);
+                    let (i, _, x) = zig_candidate(log.words[start], t);
+                    if x.abs() < t.x[i + 1] {
+                        continue;
+                    }
+                    hits[if i == 0 { 1 } else { 0 }] += 1;
+                    hits[2] += usize::from(start == last_prefetched);
+                }
+                left -= n;
+            }
+        }
+        hits
+    }
+
+    /// The bulk fill is the sequential `gauss()` stream, bit for bit,
+    /// across chunk boundaries and split fills, and leaves the generator
+    /// where the sequential draws leave it. The seeds are chosen so the
+    /// runs take every slow path: wedge, tail, and a rejection on a
+    /// chunk's last prefetched word.
     #[test]
     fn fill_gauss_matches_sequential_draws() {
-        let mut seq = MeasurementModel::new(1.0, 1.0, 12, 123);
-        let want: Vec<f64> = (0..1000).map(|_| seq.gauss()).collect();
-        let mut bulk = MeasurementModel::new(1.0, 1.0, 12, 123);
-        let mut got = vec![0.0; 1000];
-        bulk.fill_gauss(&mut got);
-        assert_eq!(got, want);
-        // Split fills continue the stream exactly.
-        let mut split = MeasurementModel::new(1.0, 1.0, 12, 123);
-        let mut head = vec![0.0; 300];
-        let mut tail = vec![0.0; 700];
-        split.fill_gauss(&mut head);
-        split.fill_gauss(&mut tail);
-        head.extend_from_slice(&tail);
-        assert_eq!(head, want);
+        let fills: &[&[usize]] = &[
+            &[0],
+            &[1],
+            &[1023],
+            &[1024],
+            &[1025],
+            &[64 * 34],
+            &[64 * 115],
+            &[300, 700],
+            &[1, 1023, 1025, 0, 7],
+            &[64 * 34, 64 * 34, 64 * 34],
+            &[64 * 115, 64 * 115],
+        ];
+        let mut hits = [0; 3];
+        // Seed 5 supplies the chunk-last rejections; see the assert below.
+        for seed in [123, 5] {
+            for fill in fills {
+                let total: usize = fill.iter().sum();
+                let mut seq = MeasurementModel::new(1.0, 1.0, 12, seed);
+                let want: Vec<u64> = (0..total).map(|_| seq.gauss().to_bits()).collect();
+                let mut bulk = MeasurementModel::new(1.0, 1.0, 12, seed);
+                let mut got = Vec::new();
+                for &len in *fill {
+                    let mut out = vec![0.0; len];
+                    bulk.fill_gauss(&mut out);
+                    got.extend(out.iter().map(|x| x.to_bits()));
+                }
+                assert!(got == want, "seed {seed}, fills {fill:?}: values differ");
+                assert_eq!(
+                    bulk.gauss().to_bits(),
+                    seq.gauss().to_bits(),
+                    "seed {seed}, fills {fill:?}: generator state differs"
+                );
+                for (h, n) in hits.iter_mut().zip(slow_paths(seed, fill)) {
+                    *h += n;
+                }
+            }
+        }
+        let [wedge, tail, spill] = hits;
+        assert!(wedge > 0 && tail > 0 && spill > 0, "slow paths hit: {hits:?}");
     }
 
     #[test]
