@@ -13,6 +13,7 @@
 //!    with the noise.
 
 use gm_bench::{Args, MetricsSink};
+use gm_core::bitslice::LANES;
 use gm_core::{MaskRng, MaskedBit};
 use gm_des::masked::core_ff::CycleRecord;
 use gm_des::masked::{BitslicedDes, MaskedDesFf};
@@ -21,7 +22,6 @@ use gm_des::reference::round_keys;
 use gm_des::sbox::{masked_sbox, SboxRandomness};
 use gm_des::tables::{permute, E, IP};
 use gm_leakage::Cpa;
-use gm_netlist::bitslice::LANES;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 

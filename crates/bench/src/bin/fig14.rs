@@ -13,8 +13,11 @@
 //!
 //! Trace scale: the campaign default (400 k) is calibrated to correspond
 //! to the paper's 50 M-trace assessment (see EXPERIMENTS.md).
+//!
+//! Exits 1, after writing the CSVs and the metrics, when a claim does
+//! not hold for the panels that ran (`gm_bench::panel::fig14_misses`).
 
-use gm_bench::panel::{max_abs, print_panel};
+use gm_bench::panel::{fig14_misses, max_abs, print_panel, Fig14Panel};
 use gm_bench::{Args, MetricsSink};
 use gm_des::tvla_src::{AnyCycleSource, CoreVariant, SourceConfig};
 use gm_leakage::detect::{consistent_leaks, first_detection};
@@ -32,6 +35,7 @@ fn main() {
     println!("(campaign: {traces} traces ≙ the paper's 50M; threshold ±4.5; {backend} backend)\n");
 
     // Panel (a): PRNG off.
+    let mut prng_off = None;
     if run_all || args.panel.as_deref() == Some("a") {
         let mut cfg = SourceConfig::new(CoreVariant::Ff);
         cfg.prng_on = false;
@@ -53,10 +57,11 @@ fn main() {
             &src,
         );
         print_panel("panel (a) t-curves @12k traces", &r, &args.out_dir, "fig14a");
+        prng_off = Some(det);
     }
 
     // Panels (b)-(d): PRNG on, three fixed plaintexts.
-    let mut t1_curves = Vec::new();
+    let mut panels = Vec::new();
     for (i, (panel, pt)) in ["b", "c", "d"].iter().zip(FIXED_PLAINTEXTS).enumerate() {
         if !(run_all || args.panel.as_deref() == Some(*panel)) {
             continue;
@@ -78,10 +83,12 @@ fn main() {
         );
         let (m1, m2, m3) = gm_bench::panel::summary_line(&r);
         println!("summary: max|t1|={m1:.2} max|t2|={m2:.2} max|t3|={m3:.2}\n");
-        t1_curves.push(r.t1());
+        panels.push(Fig14Panel { name: (*panel).to_owned(), t1: r.t1(), t2: r.t2() });
     }
 
-    if t1_curves.len() == 3 {
+    let misses = fig14_misses(prng_off.as_ref(), &panels);
+    if panels.len() == 3 {
+        let t1_curves: Vec<Vec<f64>> = panels.iter().map(|p| p.t1.clone()).collect();
         let consistent = consistent_leaks(&t1_curves);
         println!("=== Fig. 14 verdict ===");
         println!(
@@ -91,8 +98,14 @@ fn main() {
         );
         let worst_t1 = t1_curves.iter().map(|t| max_abs(t)).fold(0.0f64, f64::max);
         println!("worst single-plaintext max|t1| = {worst_t1:.2}");
-        println!("⇒ no evidence of first-order leakage; strong second-order leakage,");
-        println!("   as the paper argues a second-order attack would be the better route.");
+        if misses.is_empty() {
+            println!("⇒ no evidence of first-order leakage; strong second-order leakage,");
+            println!("   as the paper argues a second-order attack would be the better route.");
+        }
     }
     metrics.finish().expect("write metrics");
+    if !misses.is_empty() {
+        eprintln!("fig14: {} claim(s) do not hold: {}", misses.len(), misses.join("; "));
+        std::process::exit(1);
+    }
 }

@@ -77,13 +77,19 @@ impl Args {
         while let Some(flag) = it.next() {
             let grab = &mut || it.next().unwrap_or_else(|| panic!("flag {flag} needs a value"));
             match flag.as_str() {
-                "--traces" => args.traces = Some(grab().parse().expect("--traces takes a number")),
+                "--traces" => {
+                    let traces = grab().parse().expect("--traces takes a number");
+                    assert!(traces > 0, "--traces takes a positive trace count, not 0");
+                    args.traces = Some(traces);
+                }
                 "--seed" => args.seed = grab().parse().expect("--seed takes a number"),
                 "--panel" => args.panel = Some(grab()),
                 "--out" => args.out_dir = grab(),
                 "--quick" => args.quick = true,
                 "--threads" => {
-                    args.threads = Some(grab().parse().expect("--threads takes a number"))
+                    let threads = grab().parse().expect("--threads takes a number");
+                    assert!(threads > 0, "--threads takes a positive thread count, not 0");
+                    args.threads = Some(threads);
                 }
                 "--label" => args.label = Some(grab()),
                 "--gate-level" => args.gate_level = true,
@@ -172,6 +178,21 @@ mod tests {
     #[should_panic(expected = "--progress-every takes a positive trace count")]
     fn zero_progress_cadence_panics() {
         let _ = parse("--progress-every 0");
+    }
+
+    /// Zero traces would panic deep in the campaign's chunk planner;
+    /// it is refused while parsing, naming the flag.
+    #[test]
+    #[should_panic(expected = "--traces takes a positive trace count")]
+    fn zero_traces_panics() {
+        let _ = parse("--traces 0");
+    }
+
+    /// Zero worker threads is refused while parsing, naming the flag.
+    #[test]
+    #[should_panic(expected = "--threads takes a positive thread count")]
+    fn zero_threads_panics() {
+        let _ = parse("--threads 0");
     }
 
     #[test]

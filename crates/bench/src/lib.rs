@@ -1,7 +1,7 @@
 //! # gm-bench
 //!
-//! Shared helpers for the table/figure regeneration binaries and criterion
-//! benches. Each evaluation artefact of the paper has its own binary:
+//! Shared helpers for the table/figure regeneration binaries. Each
+//! evaluation artefact of the paper has its own binary:
 //!
 //! | Artefact | Binary |
 //! |---|---|
@@ -24,7 +24,6 @@
 //! | Per-module glitch census of both cores | `glitch_census` |
 //! | SNR vs. gadget replication | `snr_replication` |
 //! | Leak-model calibration sweep | `calibrate` |
-//! | Simulation throughput probe | `speed_probe` |
 //! | Campaign throughput and per-layer cost (the repository benchmark) | `benchmark` |
 
 #![forbid(unsafe_code)]

@@ -2,7 +2,7 @@
 //! `--progress` flags.
 //!
 //! Every experiment binary builds one [`MetricsSink`] from its parsed
-//! [`Args`](crate::Args) and routes campaigns through
+//! [`Args`] and routes campaigns through
 //! [`MetricsSink::run`] (or [`MetricsSink::run_streamed`] for live
 //! convergence telemetry, or records hand-timed phases with
 //! [`MetricsSink::record_phase`]). Records stream to the `--metrics`
@@ -400,7 +400,7 @@ impl MetricsSink {
             }
         }
         if let (Some(used), Some(groups)) = (total.get("lanes.used"), total.get("lanes.groups")) {
-            let capacity = groups * gm_netlist::bitslice::LANES as u64;
+            let capacity = groups * gm_core::bitslice::LANES as u64;
             println!(
                 "  lanes: {:.1}% utilisation ({} groups, {} partial)",
                 100.0 * used as f64 / capacity.max(1) as f64,

@@ -3,6 +3,7 @@
 //! mirroring the three-row subfigures of the paper — and the
 //! oscilloscope-style single-trace rendering of Figs. 13/16.
 
+use gm_leakage::detect::{consistent_leaks, Detection};
 use gm_leakage::tvla::{Class, TraceSource};
 use gm_leakage::{report, TvlaResult, THRESHOLD};
 use std::path::Path;
@@ -32,6 +33,55 @@ pub fn print_panel(title: &str, result: &TvlaResult, out_dir: &str, file_stem: &
 /// One-line panel summary (for sweep tables).
 pub fn summary_line(result: &TvlaResult) -> (f64, f64, f64) {
     (max_abs(&result.t1()), max_abs(&result.t2()), max_abs(&result.t3()))
+}
+
+/// First- and second-order t-curves of one PRNG-on Fig. 14 panel.
+#[derive(Debug)]
+pub struct Fig14Panel {
+    /// Panel letter: `b`, `c` or `d`.
+    pub name: String,
+    /// First-order t-curve.
+    pub t1: Vec<f64>,
+    /// Second-order t-curve.
+    pub t2: Vec<f64>,
+}
+
+/// The Fig. 14 claims that do not hold, one message per miss; empty
+/// when every claim holds. Each check covers only the panels that ran:
+///
+/// * panel (a), PRNG off (`prng_off`, `None` when it did not run), must
+///   detect first-order leakage;
+/// * no first-order crossing may be consistent across the PRNG-on
+///   `panels` ([`consistent_leaks`]). A crossing in one panel alone is
+///   the spurious kind the paper discounts, so this needs two panels;
+/// * every PRNG-on panel must show second-order leakage,
+///   max|t2| > [`THRESHOLD`].
+pub fn fig14_misses(prng_off: Option<&Detection>, panels: &[Fig14Panel]) -> Vec<String> {
+    let mut misses = Vec::new();
+    if prng_off.is_some_and(|d| d.traces.is_none()) {
+        misses.push("panel (a), PRNG off: no first-order leakage detected".to_owned());
+    }
+    if panels.len() > 1 {
+        let t1: Vec<Vec<f64>> = panels.iter().map(|p| p.t1.clone()).collect();
+        let consistent = consistent_leaks(&t1);
+        if !consistent.is_empty() {
+            let names: Vec<&str> = panels.iter().map(|p| p.name.as_str()).collect();
+            misses.push(format!(
+                "first-order crossing consistent across panels {} at samples {consistent:?}",
+                names.join(", ")
+            ));
+        }
+    }
+    for p in panels {
+        let m2 = max_abs(&p.t2);
+        if m2 <= THRESHOLD {
+            misses.push(format!(
+                "panel ({}): max|t2| = {m2:.2} <= {THRESHOLD}, no second-order leakage",
+                p.name
+            ));
+        }
+    }
+    misses
 }
 
 /// Acquire one fixed-class trace from any [`TraceSource`] (the Figs.
@@ -154,6 +204,62 @@ mod tests {
     fn max_abs_basics() {
         assert_eq!(max_abs(&[1.0, -3.0, 2.0]), 3.0);
         assert_eq!(max_abs(&[]), 0.0);
+    }
+
+    /// A PRNG-on panel whose curves cross the threshold nowhere in the
+    /// first order, at sample `leak` in the second.
+    fn clean_panel(name: &str, leak: usize) -> Fig14Panel {
+        let mut t2 = vec![1.0; 8];
+        t2[leak] = -9.0;
+        Fig14Panel { name: name.to_owned(), t1: vec![0.5; 8], t2 }
+    }
+
+    fn detected(traces: Option<u64>) -> Detection {
+        Detection { traces, history: Vec::new() }
+    }
+
+    #[test]
+    fn fig14_claims_hold() {
+        let panels = [clean_panel("b", 1), clean_panel("c", 2), clean_panel("d", 3)];
+        assert!(fig14_misses(Some(&detected(Some(16))), &panels).is_empty());
+        // Panels that did not run are not checked.
+        assert!(fig14_misses(None, &panels[..1]).is_empty());
+        assert!(fig14_misses(None, &[]).is_empty());
+    }
+
+    #[test]
+    fn fig14_names_an_undetected_prng_off_panel() {
+        let misses = fig14_misses(Some(&detected(None)), &[]);
+        assert_eq!(misses.len(), 1, "{misses:?}");
+        assert!(misses[0].contains("panel (a), PRNG off"), "{misses:?}");
+    }
+
+    #[test]
+    fn fig14_names_a_consistent_first_order_crossing() {
+        let mut panels = [clean_panel("b", 1), clean_panel("c", 2), clean_panel("d", 3)];
+        // Sample 5 crosses in every panel, sample 6 in two of three.
+        for p in &mut panels {
+            p.t1[5] = -4.6;
+        }
+        panels[0].t1[6] = 7.0;
+        panels[1].t1[6] = 7.0;
+        let misses = fig14_misses(None, &panels);
+        assert_eq!(misses.len(), 1, "{misses:?}");
+        assert!(
+            misses[0].contains("consistent across panels b, c, d at samples [5]"),
+            "{misses:?}"
+        );
+        // One panel's crossing alone is not a consistent one.
+        assert!(fig14_misses(None, &panels[..1]).is_empty());
+    }
+
+    #[test]
+    fn fig14_names_a_panel_without_second_order_leakage() {
+        let mut panels = [clean_panel("b", 1), clean_panel("c", 2), clean_panel("d", 3)];
+        panels[1].t2[2] = 4.5; // at the threshold: not a crossing
+        let misses = fig14_misses(Some(&detected(Some(32))), &panels);
+        assert_eq!(misses.len(), 1, "{misses:?}");
+        assert!(misses[0].contains("panel (c): max|t2| = 4.50"), "{misses:?}");
     }
 
     #[test]

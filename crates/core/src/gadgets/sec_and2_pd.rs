@@ -29,9 +29,6 @@ pub struct PdConfig {
 impl PdConfig {
     /// The paper's optimal configuration (10 LUTs per DelayUnit).
     pub const OPTIMAL: PdConfig = PdConfig { unit_luts: 10 };
-
-    /// The smallest configuration (1 LUT) — Fig. 15a's leaky strawman.
-    pub const MINIMAL: PdConfig = PdConfig { unit_luts: 1 };
 }
 
 impl Default for PdConfig {

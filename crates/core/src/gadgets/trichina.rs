@@ -24,9 +24,6 @@ pub fn trichina_and(x: MaskedBit, y: MaskedBit, rng: &mut MaskRng) -> MaskedBit 
     MaskedBit { s0: z0.0, s1: r }
 }
 
-/// Number of fresh random bits per evaluation.
-pub const FRESH_BITS: usize = 1;
-
 /// Netlist generator. `r` is the fresh-randomness input net. The XOR
 /// chain is emitted in the secure order, but **glitches make the
 /// hardware order undefined** — this netlist exists as the negative

@@ -29,9 +29,10 @@ use crate::power::CycleLaneCounters;
 use crate::sbox::masked::xor_plans;
 use crate::sbox::mini::TEN_PRODUCTS;
 use crate::tables::{E, FP, IP, P, PC1, PC2, SHIFTS};
-use gm_core::bitslice::{lanes_to_bits, sec_and2_lanes, splat, LaneBit};
+use gm_core::bitslice::{
+    lanes_to_bits, sec_and2_lanes, splat, transpose64, LaneBit, SegLaneCounter,
+};
 use gm_core::MaskRng;
-use gm_netlist::bitslice::{transpose64, SegLaneCounter};
 
 /// Apply a 1-based-from-MSB DES permutation table as an index remap.
 ///
@@ -319,7 +320,7 @@ impl GroupRandomness {
 /// Unmask a 64-bit word array and transpose to lane-major values.
 fn bs_unmask_to_lanes(word: &[LaneBit; 64]) -> [u64; 64] {
     let mut t: [u64; 64] = std::array::from_fn(|b| word[b].unmask());
-    gm_netlist::bitslice::transpose64(&mut t);
+    transpose64(&mut t);
     t
 }
 

@@ -22,7 +22,7 @@
 //!   Fig. 17.
 
 use crate::masked::core_ff::CycleRecord;
-use gm_netlist::bitslice::{SegLaneCounter, LANES};
+use gm_core::bitslice::{SegLaneCounter, LANES};
 use gm_sim::MeasurementModel;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -94,7 +94,7 @@ const BINV_MAX_MEAN: f64 = 10.0;
 ///
 /// Replaces per-unit thinning (one uniform per glitch unit) on the
 /// campaign hot path: exact CDF inversion while `n·p ≤` a documented
-/// threshold ([`BINV_MAX_MEAN`]), Gaussian-tail approximation above it.
+/// threshold (`BINV_MAX_MEAN`), Gaussian-tail approximation above it.
 /// `p` is clamped to `[0, 1]`; `p ≥ 1` returns `n` exactly (the
 /// deterministic case tests rely on).
 pub fn binomial(rng: &mut SmallRng, n: u32, p: f64) -> u32 {
@@ -306,7 +306,7 @@ impl PowerModel {
     /// ziggurat fill. Stage 3 finishes each of the first `lanes` lanes in
     /// label order and hands the trace to `emit(lane, trace)`.
     ///
-    /// Bit-identical to `lanes` successive [`Self::lane_into`] +
+    /// Bit-identical to `lanes` successive [`CycleLaneCounters::lane_into`] +
     /// [`Self::trace_into`] calls on the same counters: every per-sample
     /// arithmetic expression is unchanged, and both RNG streams (the
     /// measurement ziggurat and the glitch binomial) are consumed in the

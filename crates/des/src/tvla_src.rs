@@ -19,9 +19,9 @@ use crate::masked::{BitslicedDes, MaskedDesFf, MaskedDesPd};
 use crate::netlist_gen::driver::EncryptionInputs;
 use crate::netlist_gen::{build_des_core, DesCoreNetlist, DesDriverCore, SboxStyle};
 use crate::power::{CycleLaneCounters, GroupScratch, PdLeakModel, PowerModel};
+use gm_core::bitslice::LANES;
 use gm_core::MaskRng;
 use gm_leakage::{Class, TraceSource};
-use gm_netlist::bitslice::LANES;
 use gm_obs::{Counter, Report};
 use gm_sim::{CouplingModel, CouplingSink, DelayModel, MeasurementModel, PowerTrace, SimGraph};
 use rand::rngs::SmallRng;
@@ -557,11 +557,6 @@ impl GateLevelSource {
         }
     }
 
-    /// The generated core (for area/timing inspection).
-    pub fn core(&self) -> &DesCoreNetlist {
-        &self.core
-    }
-
     /// Clock period used by the simulation.
     pub fn period_ps(&self) -> u64 {
         self.period_ps
@@ -743,10 +738,10 @@ mod tests {
         }
     }
 
-    /// Fig. 14-shaped campaign agreement for both bitsliced statistics
-    /// tails (per-lane demux and lane-major block), through the full
-    /// parallel pipeline, against the scalar reference backend — the
-    /// 1e-9 criterion of the bench gate, pinned at test size.
+    /// Fig. 14-shaped campaign agreement through the full parallel
+    /// pipeline: the bitsliced source fed one trace at a time
+    /// ([`PerTrace`]) and block-wise both match the scalar reference
+    /// backend's max|t1| and max|t2| to 1e-9.
     #[test]
     fn fig14_parallel_agreement_under_both_moment_kernels() {
         let cfg = SourceConfig::new(CoreVariant::Ff);

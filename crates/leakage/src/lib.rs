@@ -10,7 +10,7 @@
 //!   Schneider & Moradi: order 1 (raw), order 2 (centred squares), order 3
 //!   (standardised cubes). The paper reports all three per figure.
 //! * [`tvla`] — the non-specific fixed-vs-random TVLA campaign harness:
-//!   random class interleaving, multi-threaded acquisition (crossbeam),
+//!   random class interleaving, multi-threaded acquisition (`std::thread`),
 //!   checkpointed detection.
 //! * [`detect`] — the ±4.5 threshold, the cross-plaintext consistency rule
 //!   the paper applies in §VII-A, and a traces-to-detection estimator

@@ -29,11 +29,6 @@ impl Snr {
         self.groups.entry(label).or_insert_with(|| TraceMoments::new(len)).add(trace);
     }
 
-    /// Number of distinct labels seen.
-    pub fn num_labels(&self) -> usize {
-        self.groups.len()
-    }
-
     /// Per-sample SNR. Labels with fewer than 2 traces are ignored.
     ///
     /// Returns an empty vector when fewer than two labels qualify.

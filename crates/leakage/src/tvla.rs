@@ -577,7 +577,7 @@ impl Campaign {
     /// Workers publish their cumulative per-class moments into lock-free
     /// (`try_lock`, never blocking) per-worker slots at block boundaries;
     /// the coordinator merges the slots on read whenever the published
-    /// trace count crosses a multiple of `every` — see [`StreamShared`]
+    /// trace count crosses a multiple of `every` — see `StreamShared`
     /// for the ordering contract. Snapshot trace counts are monotone
     /// non-decreasing across callbacks, and the final callback receives
     /// the campaign result itself, so the last snapshot is always

@@ -6,30 +6,6 @@ use crate::gate::GateId;
 use crate::netlist::{Driver, Netlist};
 use crate::topo::combinational_order;
 
-/// Precomputed evaluation schedule shared by the scalar [`Evaluator`] and
-/// the 64-lane [`crate::bitslice::BitEvaluator`]: the combinational topo
-/// order plus the list of sequential gates.
-#[derive(Debug, Clone)]
-pub(crate) struct EvalPlan {
-    pub order: Vec<GateId>,
-    pub ff_gates: Vec<GateId>,
-}
-
-impl EvalPlan {
-    /// Build the schedule; fails when the netlist has a combinational loop.
-    pub fn new(n: &Netlist) -> Result<Self, crate::NetlistError> {
-        let order = combinational_order(n)?;
-        let ff_gates: Vec<GateId> = n
-            .gates()
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| g.kind.is_sequential())
-            .map(|(i, _)| GateId(i as u32))
-            .collect();
-        Ok(EvalPlan { order, ff_gates })
-    }
-}
-
 /// A zero-delay evaluator holding register state for a [`Netlist`].
 ///
 /// # Examples
@@ -54,7 +30,10 @@ impl EvalPlan {
 pub struct Evaluator {
     values: Vec<bool>,
     ff_state: Vec<bool>,
-    plan: EvalPlan,
+    /// Combinational gates in topological order.
+    order: Vec<GateId>,
+    /// Sequential gates, in gate order.
+    ff_gates: Vec<GateId>,
     // Scratch buffers reused across `settle`/`clock` calls so that the
     // campaign hot path (millions of clock edges) stays allocation-free.
     pin_scratch: Vec<bool>,
@@ -64,12 +43,20 @@ pub struct Evaluator {
 impl Evaluator {
     /// Build an evaluator; fails when the netlist has a combinational loop.
     pub fn new(n: &Netlist) -> Result<Self, crate::NetlistError> {
-        let plan = EvalPlan::new(n)?;
-        let num_ffs = plan.ff_gates.len();
+        let order = combinational_order(n)?;
+        let ff_gates: Vec<GateId> = n
+            .gates()
+            .iter()
+            .enumerate()
+            .filter(|(_, g)| g.kind.is_sequential())
+            .map(|(i, _)| GateId(i as u32))
+            .collect();
+        let num_ffs = ff_gates.len();
         Ok(Evaluator {
             values: vec![false; n.num_nets()],
             ff_state: vec![false; n.num_gates()],
-            plan,
+            order,
+            ff_gates,
             pin_scratch: Vec::with_capacity(4),
             ff_next: Vec::with_capacity(num_ffs),
         })
@@ -113,7 +100,7 @@ impl Evaluator {
             }
         }
         let (values, pins) = (&mut self.values, &mut self.pin_scratch);
-        for &gid in &self.plan.order {
+        for &gid in &self.order {
             let g = n.gate(gid);
             pins.clear();
             pins.extend(g.inputs.iter().map(|i| values[i.index()]));
@@ -129,14 +116,14 @@ impl Evaluator {
         next.clear();
         {
             let (values, ff_state, pins) = (&self.values, &self.ff_state, &mut self.pin_scratch);
-            for &gid in &self.plan.ff_gates {
+            for &gid in &self.ff_gates {
                 let g = n.gate(gid);
                 pins.clear();
                 pins.extend(g.inputs.iter().map(|i| values[i.index()]));
                 next.push(g.kind.dff_next(ff_state[gid.index()], pins));
             }
         }
-        for (&gid, &v) in self.plan.ff_gates.iter().zip(next.iter()) {
+        for (&gid, &v) in self.ff_gates.iter().zip(next.iter()) {
             self.ff_state[gid.index()] = v;
         }
         self.ff_next = next;

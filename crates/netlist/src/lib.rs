@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod area;
-pub mod bitslice;
 pub mod csr;
 pub mod error;
 pub mod eval;
@@ -43,7 +42,6 @@ pub mod topo;
 pub mod verilog;
 
 pub use area::AreaReport;
-pub use bitslice::BitEvaluator;
 pub use csr::Csr;
 pub use error::NetlistError;
 pub use eval::Evaluator;

@@ -2,7 +2,6 @@
 //! never breaks structural invariants, and evaluation semantics are
 //! consistent across the builder helpers.
 
-use gm_netlist::bitslice::BitEvaluator;
 use gm_netlist::{Evaluator, GateKind, NetId, Netlist};
 use proptest::prelude::*;
 
@@ -63,130 +62,8 @@ fn build(recipes: &[GateRecipe], num_inputs: usize) -> (Netlist, Vec<NetId>) {
     (n, inputs)
 }
 
-/// A recipe for one random gate in a *clocked* DAG: combinational cells
-/// plus every flip-flop flavour.
-#[derive(Debug, Clone)]
-enum SeqRecipe {
-    Comb(GateRecipe),
-    Dff(u8, usize, usize, usize),
-}
-
-fn seq_recipe_strategy() -> impl Strategy<Value = SeqRecipe> {
-    prop_oneof![
-        recipe_strategy().prop_map(SeqRecipe::Comb),
-        (0u8..3, any::<usize>(), any::<usize>(), any::<usize>())
-            .prop_map(|(k, d, e, r)| SeqRecipe::Dff(k, d, e, r)),
-    ]
-}
-
-/// Build a random clocked DAG the same bottom-up way as [`build`], with
-/// registers mixed in.
-fn build_seq(recipes: &[SeqRecipe], num_inputs: usize) -> (Netlist, Vec<NetId>) {
-    let mut n = Netlist::new("prop-seq");
-    let inputs: Vec<NetId> = (0..num_inputs).map(|i| n.input(format!("i{i}"))).collect();
-    let mut nets = inputs.clone();
-    for r in recipes {
-        let out = match r.clone() {
-            SeqRecipe::Comb(c) => {
-                let pick = |i: usize| nets[i % nets.len()];
-                match c {
-                    GateRecipe::Unary(k, a) => {
-                        let a = pick(a);
-                        match k {
-                            0 => n.inv(a),
-                            1 => n.buf(a),
-                            _ => n.delay_buf(a),
-                        }
-                    }
-                    GateRecipe::Binary(k, a, b) => {
-                        let (a, b) = (pick(a), pick(b));
-                        match k {
-                            0 => n.and2(a, b),
-                            1 => n.nand2(a, b),
-                            2 => n.or2(a, b),
-                            3 => n.nor2(a, b),
-                            4 => n.xor2(a, b),
-                            _ => n.xnor2(a, b),
-                        }
-                    }
-                    GateRecipe::Mux(s, a, b) => {
-                        let (s, a, b) = (pick(s), pick(a), pick(b));
-                        n.mux2(s, a, b)
-                    }
-                }
-            }
-            SeqRecipe::Dff(k, d, e, r) => {
-                let pick = |i: usize| nets[i % nets.len()];
-                let (d, e, r) = (pick(d), pick(e), pick(r));
-                match k {
-                    0 => n.dff(d),
-                    1 => n.dff_en(d, e),
-                    _ => n.dff_en_rst(d, e, r),
-                }
-            }
-        };
-        nets.push(out);
-    }
-    let last = *nets.last().unwrap();
-    n.output("o", last);
-    (n, inputs)
-}
-
-/// Deterministic per-(step, input) stimulus word derived from one seed.
-fn stim_word(seed: u64, step: usize, input: usize) -> u64 {
-    let mut x = seed
-        ^ (step as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        ^ (input as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The 64-way bitsliced evaluator is 64 independent scalar
-    /// evaluators: over random clocked DAGs (all register flavours),
-    /// every driven net matches in every lane at every step — including
-    /// partial groups where only `lanes < 64` lanes are meaningful.
-    #[test]
-    fn bitsliced_matches_scalar_evaluators(
-        recipes in prop::collection::vec(seq_recipe_strategy(), 1..50),
-        num_inputs in 1usize..5,
-        lanes in 1usize..=64,
-        steps in 1usize..6,
-        seed in any::<u64>(),
-    ) {
-        let (n, inputs) = build_seq(&recipes, num_inputs);
-        prop_assert!(n.validate().is_ok());
-        let mut bev = BitEvaluator::new(&n).unwrap();
-        let mut sev: Vec<Evaluator> =
-            (0..lanes).map(|_| Evaluator::new(&n).unwrap()).collect();
-        for step in 0..steps {
-            for (i, &net) in inputs.iter().enumerate() {
-                let word = stim_word(seed, step, i);
-                bev.set_input(net, word);
-                for (lane, ev) in sev.iter_mut().enumerate() {
-                    ev.set_input(net, (word >> lane) & 1 == 1);
-                }
-            }
-            bev.clock(&n);
-            for ev in &mut sev {
-                ev.clock(&n);
-            }
-            for g in n.gates() {
-                for (lane, ev) in sev.iter().enumerate() {
-                    prop_assert_eq!(
-                        bev.value_lane(g.output, lane),
-                        ev.value(g.output),
-                        "step {} lane {} net {:?}", step, lane, g.output
-                    );
-                }
-            }
-        }
-    }
 
     /// Any bottom-up construction validates and evaluates.
     #[test]

@@ -40,11 +40,6 @@ impl CouplingModel {
         self.pairs.push((a, b, k));
     }
 
-    /// Number of declared pairs.
-    pub fn num_pairs(&self) -> usize {
-        self.pairs.len()
-    }
-
     /// Build the runtime sink wrapping `inner`. The sink owns flat copies
     /// of the pair tables (no borrow of the model), so it can persist
     /// inside campaign workers and be [`CouplingSink::reset`] per trace.

@@ -31,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bitclock;
 pub mod clocked;
 pub mod coupling;
 pub mod delay;
@@ -43,7 +42,6 @@ pub mod vcd;
 pub mod waveform;
 pub mod wheel;
 
-pub use bitclock::{BitClockedSim, LaneActivity};
 pub use clocked::{ClockedCore, ClockedSim};
 pub use coupling::{CouplingModel, CouplingSink};
 pub use delay::{DelayModel, JitterTile, TILE, WIDE};

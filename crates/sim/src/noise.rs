@@ -171,7 +171,7 @@ impl MeasurementModel {
     /// branch-free loop that vectorises. Phase 2 walks the words in
     /// stream order, copies each run of accepted candidates into `out`
     /// with one `copy_from_slice`, and hands each rejected word (~1.2 %)
-    /// to [`gauss_with`] through [`BufferedWords`], which resolves the
+    /// to `gauss_with` through `BufferedWords`, which resolves the
     /// wedge or tail exactly as the sequential draw does.
     pub fn fill_gauss(&mut self, out: &mut [f64]) {
         let t = zig_tables();
