@@ -8,13 +8,14 @@
 //! while the instrument noise dominates, then saturates at the intrinsic
 //! share-activity noise floor (which replicates coherently too).
 
-use gm_bench::gate::{bank_share_net, build_sec_and2_bank, CYCLE_PS};
+use gm_bench::gate::{build_sec_and2_bank, sequence_bits, sequence_plan, CYCLE_PS};
 use gm_bench::{Args, MetricsSink};
 use gm_core::schedule::InputShare;
 use gm_core::{MaskRng, MaskedBit};
 use gm_leakage::Snr;
 use gm_sim::power::PowerTrace;
-use gm_sim::{DelayModel, MeasurementModel, SimCore};
+use gm_sim::{DelayModel, LaneSweep, MeasurementModel};
+use std::sync::Arc;
 
 /// The leaky arrival order of Table I: an `x` share last.
 const LEAKY_ORDER: [InputShare; 4] =
@@ -32,11 +33,11 @@ fn main() {
     let mut base = None;
     for replicas in [1usize, 2, 4, 8, 16] {
         let t0 = std::time::Instant::now();
-        // Shared bank + persistent event core (reset per trace), the
-        // same plumbing the Table I campaign sources ride.
+        // The scalar stimulus body the Table I campaign sources ride.
         let bank = build_sec_and2_bank(replicas);
-        let delays = DelayModel::with_variation(&bank.netlist, 0.15, 40.0, args.seed);
-        let mut sim = SimCore::new(&bank.graph, args.seed ^ 0x51);
+        let delays = Arc::new(DelayModel::with_variation(&bank.netlist, 0.15, 40.0, args.seed));
+        let plan = sequence_plan(&bank, &LEAKY_ORDER);
+        let mut sweep = LaneSweep::new(Arc::clone(&bank.graph), delays, plan, 4 * CYCLE_PS, false);
         let mut trace = PowerTrace::new(0, CYCLE_PS, 4);
         let mut mask_rng = MaskRng::new(args.seed ^ replicas as u64);
         let mut meas = MeasurementModel::new(1.0, 3.0, 18, args.seed ^ 0x77);
@@ -47,22 +48,8 @@ fn main() {
             let yv = mask_rng.bit();
             let mx = MaskedBit::mask(xv, &mut mask_rng);
             let my = MaskedBit::mask(yv, &mut mask_rng);
-            sim.reset(&bank.graph, args.seed ^ t ^ 0x51);
             trace.clear();
-            let value = |s: InputShare| match s {
-                InputShare::X0 => mx.s0,
-                InputShare::X1 => mx.s1,
-                InputShare::Y0 => my.s0,
-                InputShare::Y1 => my.s1,
-            };
-            for (cycle, &share) in LEAKY_ORDER.iter().enumerate() {
-                sim.schedule(
-                    bank_share_net(&bank, share),
-                    cycle as u64 * CYCLE_PS + 1_000,
-                    value(share),
-                );
-            }
-            sim.run_until(&bank.graph, &delays, 4 * CYCLE_PS, &mut trace);
+            sweep.run_scalar(args.seed ^ t ^ 0x51, sequence_bits(&LEAKY_ORDER, mx, my), &mut trace);
             samples.copy_from_slice(trace.samples());
             meas.apply(&mut samples);
             // Label = the unshared y (what the final cycle exposes).
@@ -76,7 +63,7 @@ fn main() {
         }
         println!("  {replicas:>8}   {worst:>16.4}   {gain:>9.1}x");
         let mut counters = gm_obs::Report::new();
-        sim.obs_report("sim", &mut counters);
+        sweep.obs_report(&mut counters);
         counters.set_nonzero("rng.mask_words", mask_rng.obs_words_drawn());
         metrics.record_phase(
             &format!("replicas{replicas}"),

@@ -16,12 +16,11 @@
 //! exits 1, after printing the table and writing the CSV, when any
 //! order's measured verdict disagrees with the analytic rule.
 
-use gm_bench::gate::{build_sec_and2_bank, SequenceSource, CYCLE_PS};
+use gm_bench::gate::{build_sec_and2_bank, sequence_plan, SequenceSource};
 use gm_bench::{Args, MetricsSink};
 use gm_core::analysis::glitch_probe;
 use gm_core::schedule::{all_sequences, predicted_leaky, ArrivalSequence};
 use gm_leakage::{leaks, report, Campaign, THRESHOLD};
-use gm_netlist::NetId;
 use gm_sim::DelayModel;
 use std::sync::Arc;
 
@@ -64,11 +63,7 @@ fn main() {
         let max_t = t1.iter().fold(0.0f64, |m, t| m.max(t.abs()));
 
         // Independent cross-check: Monte-Carlo glitch-extended probing.
-        let arrivals: Vec<(NetId, u64)> = seq
-            .iter()
-            .enumerate()
-            .map(|(c, &s)| (src.share_net(s), c as u64 * CYCLE_PS + 1_000))
-            .collect();
+        let arrivals = sequence_plan(&bank, &seq);
         let probe = glitch_probe(
             &bank.netlist,
             &[(bank.x0, bank.x1), (bank.y0, bank.y1)],

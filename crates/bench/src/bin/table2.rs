@@ -10,265 +10,17 @@
 //! metrics, when any row's measured verdict disagrees with the expected
 //! one, naming those rows.
 //!
-//! Like the other glitch-domain campaigns this one runs on the
-//! compiled-schedule lane backend (see DESIGN.md §2.9): the stimulus
-//! plan is fixed, so the event cascade is levelized once and 64 traces
-//! sweep per pass, with per-lane fallback to the scalar wheel when
-//! glitch activity diverges. `--scalar` pins the wheel throughout.
+//! The chain banks and their trace source live in [`gm_bench::gate`]
+//! (`build_chain_bank`, `ChainSource`) on the shared compiled-schedule
+//! sweep (see DESIGN.md §2.9); this binary prints the table and decides
+//! the verdicts. `--scalar` pins the scalar event wheel throughout.
 
+use gm_bench::gate::{build_chain_bank, ChainSource, CHAIN_REPLICAS, CHAIN_UNIT_LUTS};
 use gm_bench::{Args, MetricsSink};
-use gm_core::compose::build_product_chain_pd_with_schedule;
-use gm_core::schedule::{chain_delay_schedule, chain_max_units, ShareDelay};
-use gm_core::{MaskRng, MaskedBit};
-use gm_leakage::{leaks, Campaign, Class, TraceSource};
-use gm_netlist::{NetId, Netlist};
-use gm_sim::{
-    CompiledSchedule, DelayModel, LaneTrace, MeasurementModel, PowerTrace, SchedRunner, SimCore,
-    SimGraph, LANES,
-};
-use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
+use gm_core::schedule::chain_delay_schedule;
+use gm_leakage::{leaks, Campaign};
+use gm_sim::DelayModel;
 use std::sync::Arc;
-
-const REPLICAS: usize = 8;
-const UNIT_LUTS: usize = 10;
-
-struct ChainBank {
-    netlist: Netlist,
-    /// Prebuilt simulation topology, shared read-only by all workers.
-    graph: SimGraph,
-    /// Input share nets per variable `(s0, s1)`.
-    vars: Vec<(NetId, NetId)>,
-    k: usize,
-}
-
-/// Build a replicated bank of k-variable product chains. When `sabotage`
-/// is true the delay schedule makes an `x` share (`a₁`, the first chain
-/// variable's second share) arrive **last** — the arrival pattern
-/// Table I shows to leak.
-fn build_chain_bank(k: usize, sabotage: bool) -> ChainBank {
-    let mut n = Netlist::new("chain_bank");
-    let vars: Vec<(NetId, NetId)> =
-        (0..k).map(|i| (n.input(format!("v{i}s0")), n.input(format!("v{i}s1")))).collect();
-    let schedule: Vec<ShareDelay> = if sabotage {
-        chain_delay_schedule(k)
-            .into_iter()
-            .map(|mut d| {
-                if d.var == 0 && d.share == 1 {
-                    d.units = 2 * k; // a1 past everything, incl. y shares
-                }
-                d
-            })
-            .collect()
-    } else {
-        chain_delay_schedule(k)
-    };
-    for r in 0..REPLICAS {
-        n.in_module(format!("g{r}"), |n| {
-            let chain = build_product_chain_pd_with_schedule(n, &vars, UNIT_LUTS, &schedule);
-            n.output(format!("z0_{r}"), chain.out.z0);
-            n.output(format!("z1_{r}"), chain.out.z1);
-        });
-    }
-    n.validate().expect("chain validates");
-    let graph = SimGraph::new(&n);
-    ChainBank { netlist: n, graph, vars, k }
-}
-
-struct ChainSource {
-    bank: Arc<ChainBank>,
-    delays: Arc<DelayModel>,
-    mask_rng: MaskRng,
-    val_rng: SmallRng,
-    measurement: MeasurementModel,
-    sim_seed: u64,
-    window_ps: u64,
-    /// Persistent event core over `bank.graph`, reset per trace (scalar
-    /// backend and divergent-lane fallback).
-    sim: SimCore,
-    /// Persistent trace buffer, cleared per trace.
-    trace: PowerTrace,
-    /// Levelized stimulus cascade shared by all forks; `None` pins the
-    /// scalar wheel.
-    compiled: Option<Arc<CompiledSchedule>>,
-    runner: SchedRunner,
-    /// Persistent lane-major trace buffer, cleared per pass.
-    lane_trace: LaneTrace,
-}
-
-impl ChainSource {
-    fn new(bank: Arc<ChainBank>, delays: Arc<DelayModel>, seed: u64) -> Self {
-        let stims: Vec<(NetId, u64)> =
-            bank.vars.iter().flat_map(|&(s0, s1)| [(s0, 1_000), (s1, 1_000)]).collect();
-        let compiled = CompiledSchedule::compile(&bank.graph, &delays, &stims).map(Arc::new);
-        Self::with_backend(bank, delays, seed, compiled)
-    }
-
-    fn scalar(bank: Arc<ChainBank>, delays: Arc<DelayModel>, seed: u64) -> Self {
-        Self::with_backend(bank, delays, seed, None)
-    }
-
-    fn with_backend(
-        bank: Arc<ChainBank>,
-        delays: Arc<DelayModel>,
-        seed: u64,
-        compiled: Option<Arc<CompiledSchedule>>,
-    ) -> Self {
-        let window_ps =
-            ((chain_max_units(bank.k) + 2) as u64 * UNIT_LUTS as u64 * 1_150 + 20_000) * 2;
-        let sim = SimCore::new(&bank.graph, seed);
-        ChainSource {
-            sim,
-            bank,
-            delays,
-            mask_rng: MaskRng::new(seed ^ 0x11),
-            val_rng: SmallRng::seed_from_u64(seed ^ 0x22),
-            measurement: MeasurementModel::new(1.0, 6.0, 18, seed ^ 0x33),
-            sim_seed: seed,
-            window_ps,
-            trace: PowerTrace::new(0, window_ps / 8, 8),
-            compiled,
-            runner: SchedRunner::new(),
-            lane_trace: LaneTrace::new(0, window_ps / 8, 8),
-        }
-    }
-}
-
-impl TraceSource for ChainSource {
-    fn fork(&self, stream: u64) -> Self {
-        ChainSource::with_backend(
-            Arc::clone(&self.bank),
-            Arc::clone(&self.delays),
-            self.sim_seed ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            self.compiled.clone(),
-        )
-    }
-
-    fn num_samples(&self) -> usize {
-        8
-    }
-
-    fn trace(&mut self, class: Class, out: &mut [f64]) {
-        let k = self.bank.k;
-        let vals: Vec<bool> = match class {
-            Class::Fixed => vec![true; k],
-            Class::Random => (0..k).map(|_| self.val_rng.random()).collect(),
-        };
-        self.sim_seed = self.sim_seed.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(7);
-        self.sim.reset(&self.bank.graph, self.sim_seed);
-        self.trace.clear();
-        // Single cycle: all input shares fire simultaneously; the
-        // DelayUnits inside the netlist create the safe sequence.
-        for (i, &v) in vals.iter().enumerate() {
-            let b = MaskedBit::mask(v, &mut self.mask_rng);
-            self.sim.schedule(self.bank.vars[i].0, 1_000, b.s0);
-            self.sim.schedule(self.bank.vars[i].1, 1_000, b.s1);
-        }
-        self.sim.run_until(&self.bank.graph, &self.delays, self.window_ps, &mut self.trace);
-        for (o, &s) in out.iter_mut().zip(self.trace.samples()) {
-            *o = self.measurement.sample(s);
-        }
-    }
-
-    fn trace_block(
-        &mut self,
-        labels: &[Class],
-        fixed: &mut [f64],
-        random: &mut [f64],
-    ) -> (usize, usize) {
-        let Some(sched) = self.compiled.clone() else {
-            // Scalar backend: the default per-trace loop.
-            let (mut nf, mut nr) = (0usize, 0usize);
-            for &class in labels {
-                let (buf, row) = match class {
-                    Class::Fixed => (&mut *fixed, &mut nf),
-                    Class::Random => (&mut *random, &mut nr),
-                };
-                let start = *row * 8;
-                self.trace(class, &mut buf[start..start + 8]);
-                *row += 1;
-            }
-            return (nf, nr);
-        };
-        let k = self.bank.k;
-        let (mut nf, mut nr) = (0usize, 0usize);
-        let mut start = 0usize;
-        while start < labels.len() {
-            let chunk = (labels.len() - start).min(LANES);
-            // Draw the per-trace RNG streams in label order — identical
-            // to the scalar path — while packing the lane words.
-            let mut seeds = [0u64; LANES];
-            let mut stim_values = vec![0u64; 2 * k];
-            for l in 0..chunk {
-                let vals: Vec<bool> = match labels[start + l] {
-                    Class::Fixed => vec![true; k],
-                    Class::Random => (0..k).map(|_| self.val_rng.random()).collect(),
-                };
-                self.sim_seed = self.sim_seed.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(7);
-                seeds[l] = self.sim_seed;
-                for (i, &v) in vals.iter().enumerate() {
-                    let b = MaskedBit::mask(v, &mut self.mask_rng);
-                    if b.s0 {
-                        stim_values[2 * i] |= 1 << l;
-                    }
-                    if b.s1 {
-                        stim_values[2 * i + 1] |= 1 << l;
-                    }
-                }
-            }
-            self.lane_trace.clear();
-            let div = self.runner.run_pass(
-                &sched,
-                &self.bank.graph,
-                &self.delays,
-                self.bank.graph.weights(),
-                &seeds[..chunk],
-                &stim_values,
-                self.window_ps,
-                &mut self.lane_trace,
-            );
-            let mut bins = [0.0f64; 8];
-            for l in 0..chunk {
-                if div >> l & 1 != 0 {
-                    // Divergent glitch activity: rerun the lane on the
-                    // scalar wheel under the same seed.
-                    let _fb = self.runner.stats.fallback_ns.span();
-                    self.sim.reset(&self.bank.graph, seeds[l]);
-                    self.trace.clear();
-                    for (i, &(s0, s1)) in self.bank.vars.iter().enumerate() {
-                        self.sim.schedule(s0, 1_000, stim_values[2 * i] >> l & 1 != 0);
-                        self.sim.schedule(s1, 1_000, stim_values[2 * i + 1] >> l & 1 != 0);
-                    }
-                    self.sim.run_until(
-                        &self.bank.graph,
-                        &self.delays,
-                        self.window_ps,
-                        &mut self.trace,
-                    );
-                    bins.copy_from_slice(self.trace.samples());
-                } else {
-                    self.lane_trace.lane_into(l, &mut bins);
-                }
-                let (buf, row) = match labels[start + l] {
-                    Class::Fixed => (&mut *fixed, &mut nf),
-                    Class::Random => (&mut *random, &mut nr),
-                };
-                for (o, &s) in buf[*row * 8..(*row + 1) * 8].iter_mut().zip(bins.iter()) {
-                    *o = self.measurement.sample(s);
-                }
-                *row += 1;
-            }
-            start += chunk;
-        }
-        (nf, nr)
-    }
-
-    fn obs_report(&self, report: &mut gm_obs::Report) {
-        report.set_nonzero("rng.mask_words", self.mask_rng.obs_words_drawn());
-        self.sim.obs_report("sim", report);
-        self.runner.obs_report("sim.sched", report);
-    }
-}
 
 fn schedule_row(k: usize) -> String {
     let names = ["a", "b", "c", "d"];
@@ -287,7 +39,7 @@ fn main() {
     let backend = if args.scalar { "scalar event wheel" } else { "compiled schedule" };
     println!("TABLE II — DelayUnit sequences for secAND2-PD product chains");
     println!(
-        "({traces} traces/row, {REPLICAS} replicas, DelayUnit = {UNIT_LUTS} LUTs, {backend})\n"
+        "({traces} traces/row, {CHAIN_REPLICAS} replicas, DelayUnit = {CHAIN_UNIT_LUTS} LUTs, {backend})\n"
     );
     println!("  product   sequence (share@DelayUnits)");
     for k in [3, 4] {

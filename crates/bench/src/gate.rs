@@ -1,6 +1,6 @@
 //! Shared gate-level TVLA trace sources.
 //!
-//! The event-driven campaigns (`table1`, `fig15_gate` and the
+//! The event-driven campaigns (`table1`, `table2`, `fig15_gate` and the
 //! benchmark's `table1-orders` and `fig15-placement` workloads) all
 //! acquire traces the same way: a small gadget bank netlist, per-device
 //! delay model, per-trace masked stimulus, switching-activity power. This
@@ -8,27 +8,30 @@
 //! binary routes through the persistent-worker campaign machinery of
 //! `gm-leakage::tvla` instead of hand-rolled acquisition loops.
 //!
-//! Both sources run on the compiled-schedule lane backend by default
-//! ([`gm_sim::CompiledSchedule`] + [`gm_sim::SchedRunner`]): the stimulus
-//! plan is fixed per campaign, so the event cascade is levelized once and
-//! each [`TraceSource::trace_block`] call sweeps up to 64 traces per pass.
-//! Lanes whose glitch activity diverges from the compiled superset are
-//! re-run on the scalar wheel under the same per-trace seed, which keeps
-//! every trace bit-identical to the `--scalar` reference backend. The
-//! scalar constructors (`SequenceSource::scalar`, `PdPlacementSource::
-//! scalar`) pin that reference path for A/B checks.
+//! Every source runs one [`gm_sim::LaneSweep`]: the stimulus plan is
+//! fixed per campaign, so the event cascade is compiled once and each
+//! [`TraceSource::trace_block`] call sweeps up to 64 traces per pass,
+//! re-running divergent lanes on the scalar wheel under the same
+//! per-trace seed — every trace stays bit-identical to the `--scalar`
+//! reference (`SequenceSource::scalar`, `PdPlacementSource::scalar`,
+//! `ChainSource::scalar`). A source keeps only its per-trace draw (seed
+//! and stimulus bits, in label order) and its emission. The measured
+//! sources ([`SequenceSource`], [`ChainSource`]) drain repairs once per
+//! pass, before their label-ordered measurement noise reads the bins;
+//! [`PdPlacementSource`] emits raw energies and drains once per block.
 
+use gm_core::compose::build_product_chain_pd_with_schedule;
 use gm_core::gadgets::sec_and2::build_sec_and2;
 use gm_core::gadgets::sec_and2_pd::{build_sec_and2_pd, PdConfig};
 use gm_core::gadgets::AndInputs;
-use gm_core::schedule::{ArrivalSequence, InputShare};
+use gm_core::schedule::{chain_delay_schedule, chain_max_units, ArrivalSequence, InputShare};
 use gm_core::{MaskRng, MaskedBit};
 use gm_leakage::{Class, TraceSource, TvlaResult};
 use gm_netlist::{GateKind, NetId, Netlist};
 use gm_obs::Report;
 use gm_sim::{
-    CompiledSchedule, DelayModel, LaneBinTrace, LaneEnergy, MeasurementModel, PowerTrace,
-    RepairQueue, SchedRunner, SimCore, SimGraph, LANES,
+    CountingSink, DelayModel, LaneBinTrace, LaneEnergy, LaneSweep, MeasurementModel, PowerTrace,
+    SimGraph, LANES,
 };
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -37,27 +40,86 @@ use std::sync::Arc;
 /// Clock period of the Table I arrival-sequence experiment, in ps.
 pub const CYCLE_PS: u64 = 50_000;
 
-/// The default per-trace block loop, kept callable so the scalar backend
-/// of each source routes through the exact same code whether or not the
-/// source overrides [`TraceSource::trace_block`].
-fn scalar_block<S: TraceSource>(
-    src: &mut S,
-    labels: &[Class],
-    fixed: &mut [f64],
-    random: &mut [f64],
-) -> (usize, usize) {
-    let ns = src.num_samples();
-    let (mut nf, mut nr) = (0usize, 0usize);
-    for &class in labels {
-        let (buf, row) = match class {
-            Class::Fixed => (&mut *fixed, &mut nf),
-            Class::Random => (&mut *random, &mut nr),
-        };
-        let start = *row * ns;
-        src.trace(class, &mut buf[start..start + ns]);
-        *row += 1;
+/// Next per-trace simulation seed of a source's seed chain.
+fn next_seed(seed: u64, inc: u64) -> u64 {
+    seed.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(inc)
+}
+
+/// What the measured sources share around their [`LaneSweep`]: binned
+/// switching power through a measurement chain.
+struct Binned {
+    sweep: LaneSweep,
+    measurement: MeasurementModel,
+    /// Scalar-wheel trace buffer (per-trace runs and repairs).
+    trace: PowerTrace,
+    /// Word-level binned sink of the compiled passes.
+    bins: LaneBinTrace,
+}
+
+impl Binned {
+    /// `num_bins` equal bins over the sweep's window.
+    fn new(sweep: LaneSweep, num_bins: usize, measurement: MeasurementModel) -> Self {
+        let bin_ps = sweep.t_end_ps() / num_bins as u64;
+        let bins = LaneBinTrace::new(0, bin_ps, num_bins, sweep.graph().weights());
+        Binned { sweep, measurement, trace: PowerTrace::new(0, bin_ps, num_bins), bins }
     }
-    (nf, nr)
+
+    /// One drawn trace on the scalar wheel, measured into `out`.
+    fn scalar_trace(&mut self, (seed, bits): (u64, u32), out: &mut [f64]) {
+        self.trace.clear();
+        self.sweep.run_scalar(seed, bits, &mut self.trace);
+        self.measurement.sample_into(self.trace.samples(), out);
+    }
+
+    /// Acquire a block of drawn traces into the per-class buffers, in
+    /// label order. Repairs drain once per pass: the measurement noise
+    /// is drawn in label order after the pass, so every lane's bins
+    /// must exist first.
+    fn block(
+        &mut self,
+        labels: &[Class],
+        draws: &[(u64, u32)],
+        fixed: &mut [f64],
+        random: &mut [f64],
+    ) -> (usize, usize) {
+        let ns = self.trace.samples().len();
+        let mut lane = vec![0.0f64; ns];
+        let (mut nf, mut nr) = (0usize, 0usize);
+        let compiled = self.sweep.is_compiled();
+        for (chunk, lanes) in labels.chunks(LANES).zip(draws.chunks(LANES)) {
+            if compiled {
+                self.bins.clear();
+                self.sweep.run_pass(lanes, &mut self.bins, |l| l as u32);
+                self.bins.finish_pass();
+                let bins = &mut self.bins;
+                self.trace.clear();
+                self.sweep.drain(&mut self.trace, |l, trace| {
+                    bins.set_lane(l as usize, trace.samples());
+                    trace.clear();
+                });
+            }
+            for (l, (&class, &draw)) in chunk.iter().zip(lanes).enumerate() {
+                let (buf, row) = match class {
+                    Class::Fixed => (&mut *fixed, &mut nf),
+                    Class::Random => (&mut *random, &mut nr),
+                };
+                let out = &mut buf[*row * ns..(*row + 1) * ns];
+                *row += 1;
+                if compiled {
+                    self.bins.lane_into(l, &mut lane);
+                    self.measurement.sample_into(&lane, out);
+                } else {
+                    self.scalar_trace(draw, out);
+                }
+            }
+        }
+        (nf, nr)
+    }
+
+    fn obs_report(&self, report: &mut Report) {
+        self.sweep.obs_report(report);
+        self.bins.stats.report_into("sim.pack", report);
+    }
 }
 
 /// A bank of replicated `secAND2` instances sharing four share inputs
@@ -66,7 +128,7 @@ pub struct SecAnd2Bank {
     /// The bank netlist.
     pub netlist: Netlist,
     /// Prebuilt simulation topology, shared read-only by all workers.
-    pub graph: SimGraph,
+    pub graph: Arc<SimGraph>,
     /// Share `x0` input net (fans out to every replica).
     pub x0: NetId,
     /// Share `x1` input net.
@@ -92,49 +154,47 @@ pub fn build_sec_and2_bank(replicas: usize) -> SecAnd2Bank {
         });
     }
     n.validate().expect("bank validates");
-    let graph = SimGraph::new(&n);
+    let graph = Arc::new(SimGraph::new(&n));
     SecAnd2Bank { netlist: n, graph, x0, x1, y0, y1 }
 }
 
-/// The bank input net carrying the given share (shared by every
-/// experiment that drives a [`SecAnd2Bank`] in some arrival order).
-pub fn bank_share_net(bank: &SecAnd2Bank, s: InputShare) -> NetId {
-    match s {
+/// The stimulus plan of one arrival order on a [`SecAnd2Bank`]: one
+/// share per cycle, 1 ns into the cycle.
+pub fn sequence_plan(bank: &SecAnd2Bank, seq: &[InputShare]) -> Vec<(NetId, u64)> {
+    let net = |s: InputShare| match s {
         InputShare::X0 => bank.x0,
         InputShare::X1 => bank.x1,
         InputShare::Y0 => bank.y0,
         InputShare::Y1 => bank.y1,
-    }
+    };
+    seq.iter()
+        .enumerate()
+        .map(|(cycle, &share)| (net(share), cycle as u64 * CYCLE_PS + 1_000))
+        .collect()
+}
+
+/// The stimulus bits of masked `x` and `y` in arrival order `seq` (bit
+/// `s` = the share arriving in cycle `s`).
+pub fn sequence_bits(seq: &[InputShare], mx: MaskedBit, my: MaskedBit) -> u32 {
+    seq.iter().enumerate().fold(0, |bits, (s, share)| {
+        let v = match share {
+            InputShare::X0 => mx.s0,
+            InputShare::X1 => mx.s1,
+            InputShare::Y0 => my.s0,
+            InputShare::Y1 => my.s1,
+        };
+        bits | u32::from(v) << s
+    })
 }
 
 /// Table I trace source: drives the four shares into the bank in one
 /// arrival order (one share per cycle) and bins switching power per cycle.
 pub struct SequenceSource {
-    bank: Arc<SecAnd2Bank>,
-    delays: Arc<DelayModel>,
     seq: ArrivalSequence,
     mask_rng: MaskRng,
     val_rng: SmallRng,
-    measurement: MeasurementModel,
     sim_seed: u64,
-    /// Persistent event core over `bank.graph`, reset per trace (scalar
-    /// backend and divergent-lane fallback).
-    sim: SimCore,
-    /// Persistent trace buffer, cleared per trace.
-    trace: PowerTrace,
-    /// Levelized stimulus cascade shared by all forks; `None` pins the
-    /// scalar wheel.
-    compiled: Option<Arc<CompiledSchedule>>,
-    runner: SchedRunner,
-    /// Persistent word-level binned sink, cleared per pass.
-    lane_bins: LaneBinTrace,
-    /// Deferred divergent-lane repair, drained once per pass (the
-    /// measurement-noise stream is pinned in label order and the ADC
-    /// chain is nonlinear in the noise, so bins must exist before the
-    /// label loop samples them).
-    repairs: RepairQueue,
-    /// Repaired bins per lane slot (`lane * 4 ..`), filled by the drain.
-    repair_bins: Vec<f64>,
+    binned: Binned,
 }
 
 impl SequenceSource {
@@ -147,13 +207,7 @@ impl SequenceSource {
         seq: ArrivalSequence,
         seed: u64,
     ) -> Self {
-        let stims: Vec<(NetId, u64)> = seq
-            .iter()
-            .enumerate()
-            .map(|(cycle, &share)| (bank_share_net(&bank, share), cycle as u64 * CYCLE_PS + 1_000))
-            .collect();
-        let compiled = CompiledSchedule::compile(&bank.graph, &delays, &stims).map(Arc::new);
-        Self::with_backend(bank, delays, seq, seed, compiled)
+        Self::build(&bank, delays, seq, seed, true)
     }
 
     /// Build a source pinned to the scalar event wheel (`--scalar`).
@@ -163,51 +217,50 @@ impl SequenceSource {
         seq: ArrivalSequence,
         seed: u64,
     ) -> Self {
-        Self::with_backend(bank, delays, seq, seed, None)
+        Self::build(&bank, delays, seq, seed, false)
     }
 
-    fn with_backend(
-        bank: Arc<SecAnd2Bank>,
+    fn build(
+        bank: &SecAnd2Bank,
         delays: Arc<DelayModel>,
         seq: ArrivalSequence,
         seed: u64,
-        compiled: Option<Arc<CompiledSchedule>>,
+        compile: bool,
     ) -> Self {
-        let sim = SimCore::new(&bank.graph, seed);
-        let lane_bins = LaneBinTrace::new(0, CYCLE_PS, 4, bank.graph.weights());
+        let plan = sequence_plan(bank, &seq);
+        let sweep = LaneSweep::new(Arc::clone(&bank.graph), delays, plan, 4 * CYCLE_PS, compile);
+        Self::with_sweep(sweep, seq, seed)
+    }
+
+    fn with_sweep(sweep: LaneSweep, seq: ArrivalSequence, seed: u64) -> Self {
         SequenceSource {
-            sim,
-            bank,
-            delays,
             seq,
             mask_rng: MaskRng::new(seed),
             val_rng: SmallRng::seed_from_u64(seed ^ 0xf00d),
-            measurement: MeasurementModel::new(1.0, 0.8, 16, seed ^ 0xabc),
             sim_seed: seed,
-            trace: PowerTrace::new(0, CYCLE_PS, 4),
-            compiled,
-            runner: SchedRunner::new(),
-            lane_bins,
-            repairs: RepairQueue::new(),
-            repair_bins: vec![0.0; 4 * LANES],
+            binned: Binned::new(sweep, 4, MeasurementModel::new(1.0, 0.8, 16, seed ^ 0xabc)),
         }
     }
 
-    /// The input net carrying the given share.
-    pub fn share_net(&self, s: InputShare) -> NetId {
-        bank_share_net(&self.bank, s)
+    /// One trace's seed and stimulus bits. Fixed class: x = 1, y = 1
+    /// (any fixed pair works); random class: fresh random x, y. Shares
+    /// always fresh-random.
+    fn draw(&mut self, class: Class) -> (u64, u32) {
+        let (x, y) = match class {
+            Class::Fixed => (true, true),
+            Class::Random => (self.val_rng.random(), self.val_rng.random()),
+        };
+        let mx = MaskedBit::mask(x, &mut self.mask_rng);
+        let my = MaskedBit::mask(y, &mut self.mask_rng);
+        self.sim_seed = next_seed(self.sim_seed, 11);
+        (self.sim_seed, sequence_bits(&self.seq, mx, my))
     }
 }
 
 impl TraceSource for SequenceSource {
     fn fork(&self, stream: u64) -> Self {
-        SequenceSource::with_backend(
-            Arc::clone(&self.bank),
-            Arc::clone(&self.delays),
-            self.seq,
-            self.sim_seed ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            self.compiled.clone(),
-        )
+        let seed = self.sim_seed ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        SequenceSource::with_sweep(self.binned.sweep.fork(), self.seq, seed)
     }
 
     fn num_samples(&self) -> usize {
@@ -215,29 +268,8 @@ impl TraceSource for SequenceSource {
     }
 
     fn trace(&mut self, class: Class, out: &mut [f64]) {
-        // Fixed class: x = 1, y = 1 (any fixed pair works); random class:
-        // fresh random x, y. Shares always fresh-random.
-        let (x, y) = match class {
-            Class::Fixed => (true, true),
-            Class::Random => (self.val_rng.random(), self.val_rng.random()),
-        };
-        let mx = MaskedBit::mask(x, &mut self.mask_rng);
-        let my = MaskedBit::mask(y, &mut self.mask_rng);
-        let value = |s: InputShare| match s {
-            InputShare::X0 => mx.s0,
-            InputShare::X1 => mx.s1,
-            InputShare::Y0 => my.s0,
-            InputShare::Y1 => my.s1,
-        };
-
-        self.sim_seed = self.sim_seed.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(11);
-        self.sim.reset(&self.bank.graph, self.sim_seed);
-        self.trace.clear();
-        for (cycle, &share) in self.seq.iter().enumerate() {
-            self.sim.schedule(self.share_net(share), cycle as u64 * CYCLE_PS + 1_000, value(share));
-        }
-        self.sim.run_until(&self.bank.graph, &self.delays, 4 * CYCLE_PS, &mut self.trace);
-        self.measurement.sample_into(self.trace.samples(), out);
+        let draw = self.draw(class);
+        self.binned.scalar_trace(draw, out);
     }
 
     fn trace_block(
@@ -246,117 +278,13 @@ impl TraceSource for SequenceSource {
         fixed: &mut [f64],
         random: &mut [f64],
     ) -> (usize, usize) {
-        let Some(sched) = self.compiled.clone() else {
-            return scalar_block(self, labels, fixed, random);
-        };
-        let (mut nf, mut nr) = (0usize, 0usize);
-        let mut start = 0usize;
-        while start < labels.len() {
-            let chunk = (labels.len() - start).min(LANES);
-            // Draw the per-trace RNG streams in label order — identical to
-            // the scalar path — while packing the lane words.
-            let mut seeds = [0u64; LANES];
-            let mut stim_values = [0u64; 4];
-            for l in 0..chunk {
-                let (x, y) = match labels[start + l] {
-                    Class::Fixed => (true, true),
-                    Class::Random => (self.val_rng.random(), self.val_rng.random()),
-                };
-                let mx = MaskedBit::mask(x, &mut self.mask_rng);
-                let my = MaskedBit::mask(y, &mut self.mask_rng);
-                self.sim_seed = self.sim_seed.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(11);
-                seeds[l] = self.sim_seed;
-                for (s, &share) in self.seq.iter().enumerate() {
-                    let v = match share {
-                        InputShare::X0 => mx.s0,
-                        InputShare::X1 => mx.s1,
-                        InputShare::Y0 => my.s0,
-                        InputShare::Y1 => my.s1,
-                    };
-                    if v {
-                        stim_values[s] |= 1 << l;
-                    }
-                }
-            }
-            self.lane_bins.clear();
-            let div = self.runner.run_pass(
-                &sched,
-                &self.bank.graph,
-                &self.delays,
-                self.bank.graph.weights(),
-                &seeds[..chunk],
-                &stim_values,
-                4 * CYCLE_PS,
-                &mut self.lane_bins,
-            );
-            self.lane_bins.finish_pass();
-            if div != 0 {
-                // Deferred repair: queue every divergent lane of this
-                // pass, then drain the batch in one hoisted span (the
-                // rerun is a pure function of the ticket, so deferral
-                // never changes a byte). Draining before the label loop
-                // keeps the measurement-noise stream in label order.
-                for (l, &seed) in seeds.iter().enumerate().take(chunk) {
-                    if div >> l & 1 != 0 {
-                        let mut sb = 0u32;
-                        for (s, &v) in stim_values.iter().enumerate() {
-                            sb |= ((v >> l & 1) as u32) << s;
-                        }
-                        self.repairs.push(seed, sb, l as u32);
-                    }
-                }
-                let SequenceSource {
-                    sim,
-                    bank,
-                    delays,
-                    seq,
-                    trace,
-                    runner,
-                    repairs,
-                    repair_bins,
-                    ..
-                } = self;
-                repairs.drain(&mut runner.stats, |t| {
-                    sim.reset(&bank.graph, t.seed);
-                    trace.clear();
-                    for (cycle, &share) in seq.iter().enumerate() {
-                        sim.schedule(
-                            bank_share_net(bank, share),
-                            cycle as u64 * CYCLE_PS + 1_000,
-                            t.stim_bits >> cycle & 1 != 0,
-                        );
-                    }
-                    sim.run_until(&bank.graph, delays, 4 * CYCLE_PS, trace);
-                    repair_bins[t.slot as usize * 4..t.slot as usize * 4 + 4]
-                        .copy_from_slice(trace.samples());
-                });
-            }
-            let mut bins = [0.0f64; 4];
-            for l in 0..chunk {
-                if div >> l & 1 != 0 {
-                    bins.copy_from_slice(&self.repair_bins[l * 4..l * 4 + 4]);
-                } else {
-                    self.lane_bins.lane_into(l, &mut bins);
-                }
-                // Measurement noise is drawn in label order, after the
-                // pass — 4 draws per trace either way.
-                let (buf, row) = match labels[start + l] {
-                    Class::Fixed => (&mut *fixed, &mut nf),
-                    Class::Random => (&mut *random, &mut nr),
-                };
-                self.measurement.sample_into(&bins, &mut buf[*row * 4..(*row + 1) * 4]);
-                *row += 1;
-            }
-            start += chunk;
-        }
-        (nf, nr)
+        let draws: Vec<(u64, u32)> = labels.iter().map(|&c| self.draw(c)).collect();
+        self.binned.block(labels, &draws, fixed, random)
     }
 
     fn obs_report(&self, report: &mut Report) {
         report.set_nonzero("rng.mask_words", self.mask_rng.obs_words_drawn());
-        self.sim.obs_report("sim", report);
-        self.runner.obs_report("sim.sched", report);
-        self.lane_bins.stats.report_into("sim.pack", report);
+        self.binned.obs_report(report);
     }
 }
 
@@ -366,14 +294,13 @@ pub struct PdGadget {
     /// The gadget netlist.
     pub netlist: Netlist,
     /// Prebuilt simulation topology, shared read-only by all workers.
-    pub graph: SimGraph,
+    /// Its toggle weights are the localized-probe view: core cells by
+    /// area, delay lines and inputs at 0.
+    pub graph: Arc<SimGraph>,
     /// Share input nets.
     pub io: AndInputs,
     /// Simulation window covering the whole glitch train, in ps.
     pub window_ps: u64,
-    /// Per-net toggle weights: core cells by area, delay lines and inputs
-    /// excluded (the localized-probe view).
-    pub weights: Vec<f64>,
 }
 
 /// Build a `secAND2-PD` gadget with the given DelayUnit size.
@@ -394,8 +321,8 @@ pub fn build_pd_gadget(unit_luts: usize) -> PdGadget {
             _ => 0.0,
         })
         .collect();
-    let graph = SimGraph::new(&n);
-    PdGadget { netlist: n, graph, io, window_ps, weights }
+    let graph = Arc::new(SimGraph::new(&n).with_weights(weights));
+    PdGadget { netlist: n, graph, io, window_ps }
 }
 
 /// Fig. 15 (gate level) trace source: one scalar sample per trace — the
@@ -406,102 +333,63 @@ pub fn build_pd_gadget(unit_luts: usize) -> PdGadget {
 /// first-order exposure (see [`placement_bias`]); a placement that
 /// preserves the safe arrival order shows none.
 pub struct PdPlacementSource {
-    gadget: Arc<PdGadget>,
-    delays: Arc<DelayModel>,
     mask_rng: MaskRng,
     sim_seed: u64,
-    /// Persistent event core over `gadget.graph`, reset per trace. Its
-    /// per-net weights carry the localized-probe view (delay lines and
-    /// inputs at 0), so the per-trace energy is accumulated directly in
-    /// a [`gm_sim::power::CountingSink`] — no per-net count array.
-    sim: SimCore,
-    /// Levelized stimulus cascade shared by all forks; `None` pins the
-    /// scalar wheel. The lane backend takes `gadget.weights` directly.
-    compiled: Option<Arc<CompiledSchedule>>,
-    runner: SchedRunner,
+    sweep: LaneSweep,
     /// Word-level (weight-class)-major energy accumulator, cleared per
     /// pass; converts to per-lane f64 once per pass.
     energy: LaneEnergy,
-    /// Deferred divergent-lane tickets. Energies see no measurement
-    /// noise, so repair can defer across *all* passes of a block and
-    /// drain once — the slot encodes the destination row (bit 31 picks
-    /// the fixed buffer).
-    repairs: RepairQueue,
 }
 
 impl PdPlacementSource {
     /// Build a source for one placement (one sampled [`DelayModel`]) on
     /// the compiled-schedule backend.
     pub fn new(gadget: Arc<PdGadget>, delays: Arc<DelayModel>, seed: u64) -> Self {
-        let io = gadget.io;
-        let stims = [(io.x0, 1_000), (io.x1, 1_000), (io.y0, 1_000), (io.y1, 1_000)];
-        let compiled = CompiledSchedule::compile(&gadget.graph, &delays, &stims).map(Arc::new);
-        Self::with_backend(gadget, delays, seed, compiled)
+        Self::build(&gadget, delays, seed, true)
     }
 
     /// Build a source pinned to the scalar event wheel (`--scalar`).
     pub fn scalar(gadget: Arc<PdGadget>, delays: Arc<DelayModel>, seed: u64) -> Self {
-        Self::with_backend(gadget, delays, seed, None)
+        Self::build(&gadget, delays, seed, false)
     }
 
-    fn with_backend(
-        gadget: Arc<PdGadget>,
-        delays: Arc<DelayModel>,
-        seed: u64,
-        compiled: Option<Arc<CompiledSchedule>>,
-    ) -> Self {
-        let mut sim = SimCore::new(&gadget.graph, seed);
-        for (i, &w) in gadget.weights.iter().enumerate() {
-            sim.set_net_weight(NetId(i as u32), w);
-        }
-        let energy = LaneEnergy::new(&gadget.weights);
-        PdPlacementSource {
-            sim,
-            gadget,
-            delays,
-            mask_rng: MaskRng::new(seed ^ 0x77),
-            sim_seed: seed,
-            compiled,
-            runner: SchedRunner::new(),
-            energy,
-            repairs: RepairQueue::new(),
-        }
+    fn build(gadget: &PdGadget, delays: Arc<DelayModel>, seed: u64, compile: bool) -> Self {
+        let io = gadget.io;
+        let plan = [io.x0, io.x1, io.y0, io.y1].map(|net| (net, 1_000)).to_vec();
+        let sweep =
+            LaneSweep::new(Arc::clone(&gadget.graph), delays, plan, gadget.window_ps, compile);
+        Self::with_sweep(sweep, seed)
     }
-}
 
-/// Scalar-wheel energy of one trace: the shared reference body for
-/// [`TraceSource::trace`] and the divergent-lane fallback (a free
-/// function so the fallback timer can hold the runner's stopwatch).
-fn pd_scalar_energy(
-    sim: &mut SimCore,
-    gadget: &PdGadget,
-    delays: &DelayModel,
-    shares: [bool; 4],
-    seed: u64,
-) -> f64 {
-    let io = gadget.io;
-    sim.reset(&gadget.graph, seed);
-    for (s, net) in [io.x0, io.x1, io.y0, io.y1].into_iter().enumerate() {
-        // Inputs rest at the all-zero baseline; a `false` edge is a
-        // no-op the engine would pop and discard (no rng draw, no
-        // transition), so skipping it leaves the stream bit-identical.
-        if shares[s] {
-            sim.schedule(net, 1_000, true);
-        }
+    fn with_sweep(sweep: LaneSweep, seed: u64) -> Self {
+        let energy = LaneEnergy::new(sweep.graph().weights());
+        PdPlacementSource { mask_rng: MaskRng::new(seed ^ 0x77), sim_seed: seed, sweep, energy }
     }
-    let mut sink = gm_sim::power::CountingSink::default();
-    sim.run_until(&gadget.graph, delays, gadget.window_ps, &mut sink);
-    sink.weighted
+
+    /// One trace's seed and stimulus bits (`x0 x1 y0 y1`).
+    fn draw(&mut self, class: Class) -> (u64, u32) {
+        let mx = MaskedBit::mask(true, &mut self.mask_rng);
+        let my = MaskedBit::mask(class == Class::Fixed, &mut self.mask_rng);
+        self.sim_seed = next_seed(self.sim_seed, 7);
+        let bits = [mx.s0, mx.s1, my.s0, my.s1]
+            .into_iter()
+            .enumerate()
+            .fold(0, |bits, (s, v)| bits | u32::from(v) << s);
+        (self.sim_seed, bits)
+    }
+
+    /// Scalar-wheel energy of one drawn trace.
+    fn scalar_energy(&mut self, (seed, bits): (u64, u32)) -> f64 {
+        let mut sink = CountingSink::default();
+        self.sweep.run_scalar(seed, bits, &mut sink);
+        sink.weighted
+    }
 }
 
 impl TraceSource for PdPlacementSource {
     fn fork(&self, stream: u64) -> Self {
-        PdPlacementSource::with_backend(
-            Arc::clone(&self.gadget),
-            Arc::clone(&self.delays),
-            self.sim_seed ^ stream.wrapping_mul(0xd192_ed03_a4ab_f2ee),
-            self.compiled.clone(),
-        )
+        let seed = self.sim_seed ^ stream.wrapping_mul(0xd192_ed03_a4ab_f2ee);
+        PdPlacementSource::with_sweep(self.sweep.fork(), seed)
     }
 
     fn num_samples(&self) -> usize {
@@ -509,17 +397,8 @@ impl TraceSource for PdPlacementSource {
     }
 
     fn trace(&mut self, class: Class, out: &mut [f64]) {
-        let y = class == Class::Fixed;
-        let mx = MaskedBit::mask(true, &mut self.mask_rng);
-        let my = MaskedBit::mask(y, &mut self.mask_rng);
-        self.sim_seed = self.sim_seed.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(7);
-        out[0] = pd_scalar_energy(
-            &mut self.sim,
-            &self.gadget,
-            &self.delays,
-            [mx.s0, mx.s1, my.s0, my.s1],
-            self.sim_seed,
-        );
+        let draw = self.draw(class);
+        out[0] = self.scalar_energy(draw);
     }
 
     fn trace_block(
@@ -528,92 +407,61 @@ impl TraceSource for PdPlacementSource {
         fixed: &mut [f64],
         random: &mut [f64],
     ) -> (usize, usize) {
-        let Some(sched) = self.compiled.clone() else {
-            return scalar_block(self, labels, fixed, random);
-        };
-        let (mut nf, mut nr) = (0usize, 0usize);
-        let mut start = 0usize;
-        while start < labels.len() {
-            let chunk = (labels.len() - start).min(LANES);
-            // Draw the per-trace RNG streams in label order — identical to
-            // the scalar path — while packing the lane words.
-            let mut seeds = [0u64; LANES];
-            let mut stim_values = [0u64; 4];
-            for l in 0..chunk {
-                let y = labels[start + l] == Class::Fixed;
-                let mx = MaskedBit::mask(true, &mut self.mask_rng);
-                let my = MaskedBit::mask(y, &mut self.mask_rng);
-                self.sim_seed = self.sim_seed.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(7);
-                seeds[l] = self.sim_seed;
-                for (s, v) in [mx.s0, mx.s1, my.s0, my.s1].into_iter().enumerate() {
-                    if v {
-                        stim_values[s] |= 1 << l;
-                    }
-                }
-            }
-            self.energy.clear();
-            let div = self.runner.run_pass(
-                &sched,
-                &self.gadget.graph,
-                &self.delays,
-                &self.gadget.weights,
-                &seeds[..chunk],
-                &stim_values,
-                self.gadget.window_ps,
-                &mut self.energy,
-            );
-            let mut energies = [0.0f64; LANES];
-            self.energy.energies_into(&mut energies);
-            for l in 0..chunk {
-                let (row, is_fixed) = match labels[start + l] {
-                    Class::Fixed => {
-                        nf += 1;
-                        (nf - 1, true)
-                    }
-                    Class::Random => {
-                        nr += 1;
-                        (nr - 1, false)
-                    }
-                };
-                if div >> l & 1 != 0 {
-                    // Queue the repair; the drain below overwrites this
-                    // row, so nothing is written yet.
-                    let mut sb = 0u32;
-                    for (s, &v) in stim_values.iter().enumerate() {
-                        sb |= ((v >> l & 1) as u32) << s;
-                    }
-                    self.repairs.push(seeds[l], sb, row as u32 | u32::from(is_fixed) << 31);
-                } else if is_fixed {
-                    fixed[row] = energies[l];
-                } else {
-                    random[row] = energies[l];
-                }
-            }
-            start += chunk;
-        }
-        // Energies carry no label-ordered downstream RNG (no measurement
-        // noise), so the whole block's repairs drain in one batch.
-        let PdPlacementSource { sim, gadget, delays, runner, repairs, .. } = self;
-        repairs.drain(&mut runner.stats, |t| {
-            let mut shares = [false; 4];
-            for (s, sh) in shares.iter_mut().enumerate() {
-                *sh = t.stim_bits >> s & 1 != 0;
-            }
-            let e = pd_scalar_energy(sim, gadget, delays, shares, t.seed);
-            let row = (t.slot & !(1 << 31)) as usize;
-            if t.slot >> 31 != 0 {
+        let mut put = |slot: u32, e: f64| {
+            let row = (slot & !(1 << 31)) as usize;
+            if slot >> 31 != 0 {
                 fixed[row] = e;
             } else {
                 random[row] = e;
             }
+        };
+        let (mut nf, mut nr) = (0u32, 0u32);
+        for chunk in labels.chunks(LANES) {
+            let (mut lanes, mut slots) = ([(0u64, 0u32); LANES], [0u32; LANES]);
+            for (l, &class) in chunk.iter().enumerate() {
+                lanes[l] = self.draw(class);
+                // The label's destination row; slot bit 31 picks the
+                // fixed buffer.
+                slots[l] = match class {
+                    Class::Fixed => {
+                        nf += 1;
+                        (nf - 1) | 1 << 31
+                    }
+                    Class::Random => {
+                        nr += 1;
+                        nr - 1
+                    }
+                };
+            }
+            let (lanes, slots) = (&lanes[..chunk.len()], &slots[..chunk.len()]);
+            if !self.sweep.is_compiled() {
+                for (&draw, &slot) in lanes.iter().zip(slots) {
+                    put(slot, self.scalar_energy(draw));
+                }
+                continue;
+            }
+            self.energy.clear();
+            let div = self.sweep.run_pass(lanes, &mut self.energy, |l| slots[l]);
+            let mut energies = [0.0f64; LANES];
+            self.energy.energies_into(&mut energies);
+            for (l, &slot) in slots.iter().enumerate() {
+                if div >> l & 1 == 0 {
+                    put(slot, energies[l]);
+                }
+            }
+        }
+        // Energies carry no label-ordered measurement noise, so the whole
+        // block's repairs drain in one batch.
+        self.sweep.drain(&mut CountingSink::default(), |slot, sink| {
+            put(slot, sink.weighted);
+            *sink = CountingSink::default();
         });
-        (nf, nr)
+        (nf as usize, nr as usize)
     }
 
     fn obs_report(&self, report: &mut Report) {
         report.set_nonzero("rng.mask_words", self.mask_rng.obs_words_drawn());
-        self.sim.obs_report("sim", report);
-        self.runner.obs_report("sim.sched", report);
+        self.sweep.obs_report(report);
         self.energy.stats.report_into("sim.pack", report);
     }
 }
@@ -622,6 +470,140 @@ impl TraceSource for PdPlacementSource {
 /// class-mean switching-energy difference `|E[power | y=1] − E[power | y=0]|`.
 pub fn placement_bias(result: &TvlaResult) -> f64 {
     (result.fixed.mean()[0] - result.random.mean()[0]).abs()
+}
+
+/// Replicas per Table II product-chain bank.
+pub const CHAIN_REPLICAS: usize = 8;
+/// DelayUnit size of the Table II chains, in LUTs.
+pub const CHAIN_UNIT_LUTS: usize = 10;
+
+/// A bank of [`CHAIN_REPLICAS`] single-cycle `secAND2-PD` product chains
+/// of `k` variables sharing their input shares (Table II).
+pub struct ChainBank {
+    /// The bank netlist.
+    pub netlist: Netlist,
+    /// Prebuilt simulation topology, shared read-only by all workers.
+    graph: Arc<SimGraph>,
+    /// Input share nets per variable `(s0, s1)`.
+    vars: Vec<(NetId, NetId)>,
+}
+
+/// Build a replicated bank of k-variable product chains. When `sabotage`
+/// is true the delay schedule makes an `x` share (`a₁`, the first chain
+/// variable's second share) arrive **last** — the arrival pattern
+/// Table I shows to leak.
+pub fn build_chain_bank(k: usize, sabotage: bool) -> ChainBank {
+    let mut n = Netlist::new("chain_bank");
+    let vars: Vec<(NetId, NetId)> =
+        (0..k).map(|i| (n.input(format!("v{i}s0")), n.input(format!("v{i}s1")))).collect();
+    let mut schedule = chain_delay_schedule(k);
+    if sabotage {
+        for d in &mut schedule {
+            if d.var == 0 && d.share == 1 {
+                d.units = 2 * k; // a1 past everything, incl. y shares
+            }
+        }
+    }
+    for r in 0..CHAIN_REPLICAS {
+        n.in_module(format!("g{r}"), |n| {
+            let chain = build_product_chain_pd_with_schedule(n, &vars, CHAIN_UNIT_LUTS, &schedule);
+            n.output(format!("z0_{r}"), chain.out.z0);
+            n.output(format!("z1_{r}"), chain.out.z1);
+        });
+    }
+    n.validate().expect("chain validates");
+    let graph = Arc::new(SimGraph::new(&n));
+    ChainBank { netlist: n, graph, vars }
+}
+
+/// Table II trace source: all input shares of one chain bank fire
+/// together (the DelayUnits inside the netlist create the sequence) and
+/// switching power is binned into 8 samples over the chain's window.
+pub struct ChainSource {
+    /// Chain variables.
+    k: usize,
+    mask_rng: MaskRng,
+    val_rng: SmallRng,
+    sim_seed: u64,
+    binned: Binned,
+}
+
+impl ChainSource {
+    /// Build a source on the compiled-schedule backend.
+    pub fn new(bank: Arc<ChainBank>, delays: Arc<DelayModel>, seed: u64) -> Self {
+        Self::build(&bank, delays, seed, true)
+    }
+
+    /// Build a source pinned to the scalar event wheel (`--scalar`).
+    pub fn scalar(bank: Arc<ChainBank>, delays: Arc<DelayModel>, seed: u64) -> Self {
+        Self::build(&bank, delays, seed, false)
+    }
+
+    fn build(bank: &ChainBank, delays: Arc<DelayModel>, seed: u64, compile: bool) -> Self {
+        let k = bank.vars.len();
+        let plan = bank.vars.iter().flat_map(|&(s0, s1)| [(s0, 1_000), (s1, 1_000)]).collect();
+        let window_ps =
+            ((chain_max_units(k) + 2) as u64 * CHAIN_UNIT_LUTS as u64 * 1_150 + 20_000) * 2;
+        let sweep = LaneSweep::new(Arc::clone(&bank.graph), delays, plan, window_ps, compile);
+        Self::with_sweep(sweep, k, seed)
+    }
+
+    fn with_sweep(sweep: LaneSweep, k: usize, seed: u64) -> Self {
+        ChainSource {
+            k,
+            mask_rng: MaskRng::new(seed ^ 0x11),
+            val_rng: SmallRng::seed_from_u64(seed ^ 0x22),
+            sim_seed: seed,
+            binned: Binned::new(sweep, 8, MeasurementModel::new(1.0, 6.0, 18, seed ^ 0x33)),
+        }
+    }
+
+    /// One trace's seed and stimulus bits (`v0s0 v0s1 v1s0 …`). Fixed
+    /// class: every variable 1; random class: fresh random values.
+    fn draw(&mut self, class: Class) -> (u64, u32) {
+        self.sim_seed = next_seed(self.sim_seed, 7);
+        let mut bits = 0u32;
+        for i in 0..self.k {
+            let v = match class {
+                Class::Fixed => true,
+                Class::Random => self.val_rng.random(),
+            };
+            let b = MaskedBit::mask(v, &mut self.mask_rng);
+            bits |= u32::from(b.s0) << (2 * i) | u32::from(b.s1) << (2 * i + 1);
+        }
+        (self.sim_seed, bits)
+    }
+}
+
+impl TraceSource for ChainSource {
+    fn fork(&self, stream: u64) -> Self {
+        let seed = self.sim_seed ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        ChainSource::with_sweep(self.binned.sweep.fork(), self.k, seed)
+    }
+
+    fn num_samples(&self) -> usize {
+        8
+    }
+
+    fn trace(&mut self, class: Class, out: &mut [f64]) {
+        let draw = self.draw(class);
+        self.binned.scalar_trace(draw, out);
+    }
+
+    fn trace_block(
+        &mut self,
+        labels: &[Class],
+        fixed: &mut [f64],
+        random: &mut [f64],
+    ) -> (usize, usize) {
+        let draws: Vec<(u64, u32)> = labels.iter().map(|&c| self.draw(c)).collect();
+        self.binned.block(labels, &draws, fixed, random)
+    }
+
+    fn obs_report(&self, report: &mut Report) {
+        report.set_nonzero("rng.mask_words", self.mask_rng.obs_words_drawn());
+        self.binned.obs_report(report);
+    }
 }
 
 #[cfg(test)]
@@ -707,6 +689,31 @@ mod tests {
                 "max |t1| moved between backends for {seq:?} (leaky={}): {tc} vs {ts}",
                 predicted_leaky(&seq)
             );
+        }
+    }
+
+    /// Same contract for the Table II chain source, with jitter high
+    /// enough that lanes diverge, so the per-pass repair drain lands
+    /// scalar reruns among the compiled lanes.
+    #[test]
+    fn chain_compiled_matches_scalar_campaign() {
+        let bank = Arc::new(build_chain_bank(2, true));
+        let delays = Arc::new(DelayModel::with_variation(&bank.netlist, 0.3, 400.0, 0xc4a1));
+        let campaign = Campaign::sequential(1_000, 5);
+        let src = ChainSource::new(Arc::clone(&bank), Arc::clone(&delays), 3);
+        let (compiled, obs) = campaign.run_observed(&src);
+        let scalar = campaign.run(&ChainSource::scalar(bank, delays, 3));
+        for (c, s) in [(&compiled.fixed, &scalar.fixed), (&compiled.random, &scalar.random)] {
+            assert_eq!(c.count(), s.count());
+            for (b, (&mc, &ms)) in c.mean().iter().zip(s.mean()).enumerate() {
+                assert!((mc - ms).abs() <= 1e-9 * ms.abs().max(1.0), "bin {b}: {mc} vs {ms}");
+            }
+        }
+        let (tc, ts) = (compiled.max_abs_t1(), scalar.max_abs_t1());
+        assert!((tc - ts).abs() <= 1e-9 * ts.abs().max(1.0), "max |t1| {tc} vs {ts}");
+        if gm_obs::ENABLED {
+            let repaired = obs.source.get("sim.sched.repair.lanes").unwrap_or(0);
+            assert!(repaired > 0, "no lane diverged: the repair path went untested");
         }
     }
 }

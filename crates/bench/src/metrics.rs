@@ -165,22 +165,6 @@ impl MetricsSink {
         result
     }
 
-    /// Chunked counterpart of [`MetricsSink::run`]; same contract as
-    /// [`Campaign::run_chunked`].
-    pub fn run_chunked<S: TraceSource>(
-        &mut self,
-        name: &str,
-        campaign: &Campaign,
-        source: &S,
-        chunk_ends: &[u64],
-        checkpoint: impl FnMut(u64, &TvlaResult) -> bool,
-    ) -> Option<TvlaResult> {
-        let start = Instant::now();
-        let (result, obs) = campaign.run_chunked_observed(source, chunk_ends, checkpoint)?;
-        self.record_campaign(name, start.elapsed().as_secs_f64(), &obs, result.total_traces());
-        Some(result)
-    }
-
     /// Record a finished campaign from its observations.
     pub fn record_campaign(&mut self, name: &str, seconds: f64, obs: &CampaignObs, traces: u64) {
         if !self.enabled() {

@@ -517,9 +517,17 @@ impl Campaign {
     }
 
     /// Like [`Campaign::run`], additionally returning what the worker
-    /// pool observed about itself ([`CampaignObs`]).
+    /// pool observed about itself ([`CampaignObs`]): per-worker
+    /// acquisition counts, acquire/idle wall time, and the merged
+    /// [`TraceSource::obs_report`] counters.
+    ///
+    /// The observability is passive: trace order, RNG streams, and the
+    /// statistical result are bit-identical with [`Campaign::run`].
+    /// Under `obs-off` the pool's own observations are all zero (the
+    /// source report still carries whatever the source exports
+    /// unconditionally).
     pub fn run_observed<S: TraceSource>(&self, source: &S) -> (TvlaResult, CampaignObs) {
-        self.run_chunked_observed(source, &[self.traces], |_, _| true)
+        self.run_engine(source, &[self.traces], &mut |_, _| true, None)
             .expect("single checkpoint provided")
     }
 
@@ -545,27 +553,9 @@ impl Campaign {
         &self,
         source: &S,
         chunk_ends: &[u64],
-        checkpoint: impl FnMut(u64, &TvlaResult) -> bool,
-    ) -> Option<TvlaResult> {
-        self.run_chunked_observed(source, chunk_ends, checkpoint).map(|(result, _)| result)
-    }
-
-    /// Like [`Campaign::run_chunked`], additionally returning a
-    /// [`CampaignObs`] with per-worker acquisition counts, acquire/idle
-    /// wall time, and the merged [`TraceSource::obs_report`] counters.
-    ///
-    /// The observability is passive: trace order, RNG streams, and the
-    /// statistical result are bit-identical with the unobserved entry
-    /// points. Under `obs-off` the pool's own observations are all zero
-    /// (the source report still carries whatever the source exports
-    /// unconditionally).
-    pub fn run_chunked_observed<S: TraceSource>(
-        &self,
-        source: &S,
-        chunk_ends: &[u64],
         mut checkpoint: impl FnMut(u64, &TvlaResult) -> bool,
-    ) -> Option<(TvlaResult, CampaignObs)> {
-        self.run_engine(source, chunk_ends, &mut checkpoint, None)
+    ) -> Option<TvlaResult> {
+        self.run_engine(source, chunk_ends, &mut checkpoint, None).map(|(result, _)| result)
     }
 
     /// Run the whole campaign while streaming live convergence
@@ -600,9 +590,9 @@ impl Campaign {
             .expect("single chunk provided")
     }
 
-    /// The shared campaign engine behind the chunked and streamed entry
-    /// points. `stream` carries the progress cadence and sink when live
-    /// convergence streaming is on (single-chunk campaigns only).
+    /// The shared campaign engine behind every entry point. `stream`
+    /// carries the progress cadence and sink when live convergence
+    /// streaming is on (single-chunk campaigns only).
     fn run_engine<S: TraceSource>(
         &self,
         source: &S,

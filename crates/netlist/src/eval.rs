@@ -72,11 +72,6 @@ impl Evaluator {
         self.values[net.index()] = value;
     }
 
-    /// Force a flip-flop's state (e.g. for reset or directed tests).
-    pub fn set_ff_state(&mut self, gate: GateId, value: bool) {
-        self.ff_state[gate.index()] = value;
-    }
-
     /// Current state of a flip-flop.
     pub fn ff_state(&self, gate: GateId) -> bool {
         self.ff_state[gate.index()]

@@ -89,7 +89,7 @@ impl ClockedCore {
         &self.sim
     }
 
-    /// The wrapped event core, mutably (weights, initial values…).
+    /// The wrapped event core, mutably (initial values…).
     pub fn sim_mut(&mut self) -> &mut SimCore {
         &mut self.sim
     }

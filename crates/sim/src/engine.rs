@@ -226,11 +226,22 @@ impl SimGraph {
         self.kinds.len()
     }
 
-    /// Per-net toggle weights (the compiled-schedule backend's
-    /// [`crate::sched::SchedRunner::run_pass`] takes these explicitly so
-    /// campaigns can substitute an overridden table).
+    /// Per-net toggle weights.
     pub fn weights(&self) -> &[f64] {
         &self.weights
+    }
+
+    /// Replace the per-net toggle weights (default: the driver cell's
+    /// area, 1 for inputs) — e.g. a localized probe that sees only part
+    /// of the circuit.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `weights` does not hold one entry per net.
+    pub fn with_weights(mut self, weights: Vec<f64>) -> Self {
+        assert_eq!(weights.len(), self.num_nets(), "one weight per net");
+        self.weights = weights;
+        self
     }
 
     /// Sequential gates, in gate order.
@@ -272,9 +283,6 @@ pub struct SimCore {
     out_last_time: Vec<u64>,
     /// Schedule version per gate; bumping it cancels in-flight pulses.
     out_version: Vec<u32>,
-    /// Per-net toggle weight; starts from the graph's defaults, mutable
-    /// via [`SimCore::set_net_weight`] (persists across resets).
-    weights: Vec<f64>,
     queue: TimingWheel<Pending>,
     seq: u64,
     time: u64,
@@ -374,7 +382,6 @@ impl SimCore {
             out_sched: graph.baseline_out_sched.clone(),
             out_last_time: vec![0; graph.num_gates()],
             out_version: vec![0; graph.num_gates()],
-            weights: graph.weights.clone(),
             queue: TimingWheel::new(),
             seq: 0,
             time: 0,
@@ -430,24 +437,6 @@ impl SimCore {
     pub fn set_initial(&mut self, net: NetId, value: bool) {
         self.values[net.index()] = value;
         self.touch_net(net.index());
-    }
-
-    /// Override the toggle weight (capacitance proxy) of one net. The
-    /// default is the driver cell's area; experiments targeting FPGA
-    /// power may want e.g. LUT-as-buffer delay elements at LUT weight
-    /// rather than their ASIC-area equivalent. Weight overrides persist
-    /// across [`SimCore::reset`] (they describe the device, not a trace).
-    pub fn set_net_weight(&mut self, net: NetId, weight: f64) {
-        self.weights[net.index()] = weight;
-    }
-
-    /// Set the toggle weight of every net driven by a cell of `kind`.
-    pub fn set_kind_weight(&mut self, graph: &SimGraph, kind: GateKind, weight: f64) {
-        for gi in 0..graph.num_gates() {
-            if graph.kinds[gi] == kind {
-                self.weights[graph.outputs[gi] as usize] = weight;
-            }
-        }
     }
 
     /// Restore every touched net/gate to the settled all-zero baseline
@@ -605,7 +594,7 @@ impl SimCore {
                 self.stats.kind_transitions[graph.kinds[dg as usize].class_index()].inc();
             }
         }
-        sink.transition(time, NetId(p.net), p.value, self.weights[ni]);
+        sink.transition(time, NetId(p.net), p.value, graph.weights[ni]);
 
         // Re-evaluate combinational fan-out; schedule changed outputs.
         // Multi-consumer deliveries under jitter take the burst variant,
@@ -834,16 +823,6 @@ impl<'a> Simulator<'a> {
     /// Set a net value *silently* (no event, no power) — initial condition.
     pub fn set_initial(&mut self, net: NetId, value: bool) {
         self.core.set_initial(net, value);
-    }
-
-    /// Override the toggle weight of one net (see [`SimCore::set_net_weight`]).
-    pub fn set_net_weight(&mut self, net: NetId, weight: f64) {
-        self.core.set_net_weight(net, weight);
-    }
-
-    /// Set the toggle weight of every net driven by a cell of `kind`.
-    pub fn set_kind_weight(&mut self, kind: GateKind, weight: f64) {
-        self.core.set_kind_weight(self.graph.get(), kind, weight);
     }
 
     /// Restore the settled all-zero state (see [`SimCore::init_all_zero`]).

@@ -18,7 +18,8 @@
 //! * [`sched`] — the compiled-schedule backend: levelizes the event
 //!   cascade once per trace-set and sweeps it for 64 traces at a time,
 //!   falling back to the dynamic engine for the rare jitter-divergent
-//!   lanes.
+//!   lanes; [`LaneSweep`] is the acquisition loop every gate-level trace
+//!   source runs.
 //! * [`noise`] — amplifier gain, Gaussian noise, and ADC quantisation, so
 //!   traces look like the "raw oscilloscope ADC output" of Fig. 13/16.
 //! * [`coupling`] — a Miller-capacitance model of crosstalk between
@@ -48,10 +49,9 @@ pub use delay::{DelayModel, JitterTile, TILE, WIDE};
 pub use engine::{PowerSink, SimCore, SimGraph, SimStats, Simulator};
 pub use noise::MeasurementModel;
 pub use power::{
-    CountingSink, LaneBinTrace, LaneCounting, LaneEnergy, LaneSink, LaneTrace, NullSink, PackStats,
-    PowerTrace,
+    CountingSink, LaneBinTrace, LaneCounting, LaneEnergy, LaneSink, NullSink, PackStats, PowerTrace,
 };
-pub use sched::{CompiledSchedule, RepairQueue, RepairTicket, SchedRunner, SchedStats, LANES};
+pub use sched::{CompiledSchedule, LaneSweep, SchedRunner, SchedStats, LANES};
 pub use vcd::VcdSink;
 pub use waveform::WaveformRecorder;
 pub use wheel::{TimingWheel, WheelStats};

@@ -167,58 +167,6 @@ impl LaneSink for LaneCounting {
     }
 }
 
-/// Per-lane [`PowerTrace`]: `num_bins` time bins per lane, stored
-/// lane-major (`samples[bin * 64 + lane]`) so one transition's scatter
-/// across lanes stays within a few cache lines.
-#[derive(Debug, Clone)]
-pub struct LaneTrace {
-    bin_ps: u64,
-    start_ps: u64,
-    num_bins: usize,
-    samples: Vec<f64>,
-}
-
-impl LaneTrace {
-    /// A 64-lane trace block with `num_bins` bins of `bin_ps` width
-    /// starting at `start_ps`; transitions outside the window are dropped
-    /// (same convention as [`PowerTrace`]).
-    pub fn new(start_ps: u64, bin_ps: u64, num_bins: usize) -> Self {
-        assert!(bin_ps > 0, "bin width must be positive");
-        LaneTrace { bin_ps, start_ps, num_bins, samples: vec![0.0; num_bins * 64] }
-    }
-
-    /// Zero all bins for reuse.
-    pub fn clear(&mut self) {
-        self.samples.iter_mut().for_each(|s| *s = 0.0);
-    }
-
-    /// Copy one lane's binned samples into `out` (must hold `num_bins`).
-    pub fn lane_into(&self, lane: usize, out: &mut [f64]) {
-        assert_eq!(out.len(), self.num_bins);
-        for (b, o) in out.iter_mut().enumerate() {
-            *o = self.samples[b * 64 + lane];
-        }
-    }
-}
-
-impl LaneSink for LaneTrace {
-    #[inline]
-    fn transitions(&mut self, _net: NetId, weight: f64, applied: u64, _values: u64, times: &[u64]) {
-        let mut m = applied;
-        while m != 0 {
-            let l = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let t = times[l];
-            if t >= self.start_ps {
-                let idx = ((t - self.start_ps) / self.bin_ps) as usize;
-                if idx < self.num_bins {
-                    self.samples[idx * 64 + l] += weight;
-                }
-            }
-        }
-    }
-}
-
 /// Bit-planes per counter: per-pass toggle counts per (class, bin) stay
 /// far below 2^16 (the compiled-schedule node cap is 2^14), and the
 /// ripple-carry add touches only as many planes as the count's carry
@@ -371,13 +319,13 @@ impl LaneSink for LaneEnergy {
     }
 }
 
-/// Word-level replacement for [`LaneTrace`]: bit-plane toggle counters
+/// Per-lane [`PowerTrace`] at word level: bit-plane toggle counters
 /// per (weight class × time bin), with a per-lane f64 spill lane for
 /// the rare transition whose jittered per-lane times straddle a bin
 /// boundary. [`LaneBinTrace::finish_pass`] converts counts (plus the
-/// spill) into the lane-major sample block once per pass;
-/// [`LaneBinTrace::lane_into`] then reads it out per lane exactly like
-/// [`LaneTrace`].
+/// spill) into the lane-major sample block (`samples[bin * 64 + lane]`)
+/// once per pass; [`LaneBinTrace::lane_into`] then reads it out per
+/// lane.
 #[derive(Debug)]
 pub struct LaneBinTrace {
     bin_ps: u64,
@@ -469,6 +417,16 @@ impl LaneBinTrace {
             *o = self.samples[b * 64 + lane];
         }
     }
+
+    /// Overwrite one lane's converted samples (`samples` must hold
+    /// `num_bins`) — where a divergent lane's scalar rerun lands after
+    /// [`LaneBinTrace::finish_pass`].
+    pub fn set_lane(&mut self, lane: usize, samples: &[f64]) {
+        assert_eq!(samples.len(), self.num_bins);
+        for (b, &s) in samples.iter().enumerate() {
+            self.samples[b * 64 + lane] = s;
+        }
+    }
 }
 
 impl LaneSink for LaneBinTrace {
@@ -503,7 +461,7 @@ impl LaneSink for LaneBinTrace {
             // All lanes outside the window: dropped, like `PowerTrace`.
             return;
         }
-        // Mixed bins: per-lane spill, same arithmetic as `LaneTrace`.
+        // Mixed bins: per-lane spill, same arithmetic as `PowerTrace`.
         let mut m = applied;
         while m != 0 {
             let l = m.trailing_zeros() as usize;
@@ -587,37 +545,43 @@ mod tests {
         assert_eq!(e, [0.0; 64]);
     }
 
+    /// Hand-picked cases against one scalar [`PowerTrace`] per lane: the
+    /// same-bin fast path, a spill across bins and both window edges, an
+    /// all-outside drop, and a lane overwritten after conversion.
     #[test]
     fn lane_bin_trace_matches_lane_trace() {
         let weights = [2.0f64, 0.5];
         let mut word = LaneBinTrace::new(1_000, 500, 4, &weights);
-        let mut scalar = LaneTrace::new(1_000, 500, 4);
-        let mut times = [0u64; 64];
-        // Same-bin fast path.
-        times.fill(1_100);
-        word.transitions(NetId(0), 2.0, 0b111, 0, &times);
-        scalar.transitions(NetId(0), 2.0, 0b111, 0, &times);
-        // Mixed bins (spill): lanes straddle bins and the window edges.
-        times[0] = 1_100;
-        times[3] = 2_700;
-        times[5] = 900;
-        times[6] = 3_000;
-        let m = 1 | 1 << 3 | 1 << 5 | 1 << 6;
-        word.transitions(NetId(1), 0.5, m, 0, &times);
-        scalar.transitions(NetId(1), 0.5, m, 0, &times);
-        // All-outside-window fast path: dropped by both.
-        times.fill(999);
-        word.transitions(NetId(0), 2.0, 0b11, 0, &times);
-        scalar.transitions(NetId(0), 2.0, 0b11, 0, &times);
+        let mut lanes: Vec<PowerTrace> = (0..64).map(|_| PowerTrace::new(1_000, 500, 4)).collect();
+        let mut both = |net: u32, applied: u64, times: &[u64; 64]| {
+            let w = weights[net as usize];
+            word.transitions(NetId(net), w, applied, 0, times);
+            for (l, lane) in lanes.iter_mut().enumerate() {
+                if applied >> l & 1 != 0 {
+                    lane.add(times[l], w);
+                }
+            }
+        };
+        let mut times = [1_100u64; 64];
+        both(0, 0b111, &times);
+        times[3] = 2_700; // bin 3
+        times[5] = 900; // before the window
+        times[6] = 3_000; // past the end
+        both(1, 1 | 1 << 3 | 1 << 5 | 1 << 6, &times);
+        both(0, 0b11, &[999; 64]);
         word.finish_pass();
-        let (mut got, mut want) = ([0.0f64; 4], [0.0f64; 4]);
+        word.set_lane(2, &[1.0, 2.0, 3.0, 4.0]);
+        lanes[2].clear();
+        for (b, w) in [1.0, 2.0, 3.0, 4.0].into_iter().enumerate() {
+            lanes[2].add(1_000 + 500 * b as u64, w);
+        }
+        let mut got = [0.0f64; 4];
         for l in [0usize, 1, 2, 3, 5, 6, 63] {
             word.lane_into(l, &mut got);
-            scalar.lane_into(l, &mut want);
-            for b in 0..4 {
-                assert!((got[b] - want[b]).abs() <= 1e-12, "lane {l} bin {b}");
-            }
+            assert_eq!(got, lanes[l].samples(), "lane {l}");
         }
+        assert_eq!(lanes[3].samples(), &[0.0, 0.0, 0.0, 0.5]);
+        assert_eq!(lanes[0].samples(), &[2.5, 0.0, 0.0, 0.0]);
     }
 
     #[test]
@@ -631,25 +595,5 @@ mod tests {
         let mut e = [0.0f64; 64];
         word.energies_into(&mut e);
         assert!(e.iter().all(|&x| x == 137.0), "count must survive carry chains");
-    }
-
-    #[test]
-    fn lane_trace_bins_per_lane_times() {
-        let mut t = LaneTrace::new(1_000, 500, 4);
-        let mut times = [0u64; 64];
-        times[0] = 1_100; // bin 0
-        times[3] = 2_700; // bin 3
-        times[5] = 900; // before window
-        times[6] = 3_000; // past the end
-        t.transitions(NetId(0), 2.0, 1 | 1 << 3 | 1 << 5 | 1 << 6, 0, &times);
-        let mut lane = [0.0; 4];
-        t.lane_into(0, &mut lane);
-        assert_eq!(lane, [2.0, 0.0, 0.0, 0.0]);
-        t.lane_into(3, &mut lane);
-        assert_eq!(lane, [0.0, 0.0, 0.0, 2.0]);
-        t.lane_into(5, &mut lane);
-        assert_eq!(lane, [0.0; 4]);
-        t.lane_into(6, &mut lane);
-        assert_eq!(lane, [0.0; 4]);
     }
 }

@@ -37,95 +37,26 @@
 //!   committed with downstream consumers in the schedule.
 //!
 //! Divergent lanes are abandoned — their results are never emitted — and
-//! the caller re-runs just those traces on the scalar wheel with the
-//! same per-trace seed, which is bit-identical by construction. On the
-//! bench gadget under Fig. 15 jitter (σ = 400 ps) about 2% of lanes
-//! diverge, so the fallback is a small fraction of campaign time.
+//! re-run on the scalar wheel with the same per-trace seed, which is
+//! bit-identical by construction. On the bench gadget under Fig. 15
+//! jitter (σ = 400 ps) about 2% of lanes diverge, so the fallback is a
+//! small fraction of campaign time.
+//!
+//! [`LaneSweep`] is the one acquisition loop every combinational
+//! gate-level trace source runs: it owns the stimulus plan, the compiled
+//! schedule, the runner, the scalar wheel and the repair queue, so a
+//! source only draws its per-trace seed and stimulus bits and emits
+//! what the sinks collected.
 
 use crate::delay::{event_hash, quantized_gaussian, DelayModel, JitterTile};
-use crate::engine::{SimGraph, JITTER_SALT_XOR, MAX_PINS};
+use crate::engine::{PowerSink, SimCore, SimGraph, JITTER_SALT_XOR, MAX_PINS};
 use crate::power::LaneSink;
 use gm_netlist::{Csr, GateId, NetId};
 use gm_obs::{Counter, Report, Stopwatch};
+use std::sync::Arc;
 
 /// Traces per sweep pass (one bit per lane in every net-value word).
 pub const LANES: usize = 64;
-
-/// One abandoned divergent lane, queued for deferred scalar repair:
-/// everything the wheel rerun needs (the per-trace seed and the lane's
-/// stimulus-slot values) plus the caller's label slot, so the repaired
-/// result lands in the slot the lane was acquired for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RepairTicket {
-    /// Per-trace simulation seed of the abandoned lane.
-    pub seed: u64,
-    /// Stimulus-slot values, bit `s` = slot `s` (campaign schedules hold
-    /// a handful of slots; 32 is far above any compiled plan in use).
-    pub stim_bits: u32,
-    /// Caller-defined output slot; the class/row encoding is the
-    /// caller's own and is never interpreted here.
-    pub slot: u32,
-}
-
-/// Deferred divergence-repair queue: divergent `(seed, stim, slot)`
-/// tuples collected across sweep passes and drained in one batch. The
-/// batching amortizes the stopwatch span over the whole drain and keeps
-/// the scalar wheel's working set hot across consecutive reruns instead
-/// of interleaving one cold rerun per lane into the sweep loop.
-///
-/// Ordering contract: [`RepairQueue::drain`] visits tickets in push
-/// order, and every rerun is a pure function of its ticket (the wheel
-/// is reset to the ticket's seed), so deferring repair never changes a
-/// campaign's bytes — results land in the same label slots with the
-/// same values an immediate rerun would have produced.
-#[derive(Debug, Default)]
-pub struct RepairQueue {
-    tickets: Vec<RepairTicket>,
-}
-
-impl RepairQueue {
-    /// An empty queue (capacity grows on first use and is recycled).
-    pub fn new() -> Self {
-        RepairQueue::default()
-    }
-
-    /// Queue one divergent lane for deferred repair.
-    pub fn push(&mut self, seed: u64, stim_bits: u32, slot: u32) {
-        self.tickets.push(RepairTicket { seed, stim_bits, slot });
-    }
-
-    /// Tickets currently queued.
-    pub fn len(&self) -> usize {
-        self.tickets.len()
-    }
-
-    /// Whether no repair is pending.
-    pub fn is_empty(&self) -> bool {
-        self.tickets.is_empty()
-    }
-
-    /// Drain every queued ticket in push order under **one** hoisted
-    /// `fallback_ns` span, calling `repair` per ticket, and account the
-    /// batch in `stats` (`repair.lanes` / `repair.drains`). Returns the
-    /// batch size (0 for an empty queue, which opens no span).
-    pub fn drain(&mut self, stats: &mut SchedStats, mut repair: impl FnMut(RepairTicket)) -> usize {
-        if self.tickets.is_empty() {
-            return 0;
-        }
-        let span = stats.fallback_ns.span();
-        let repair_span = gm_obs::trace::span("sched.repair");
-        for &t in &self.tickets {
-            repair(t);
-        }
-        drop(repair_span);
-        drop(span);
-        let n = self.tickets.len();
-        stats.repair_drains.inc();
-        stats.repair_lanes.add(n as u64);
-        self.tickets.clear();
-        n
-    }
-}
 
 /// Compiled-cascade size cap: past this the superset cascade (deeply
 /// reconvergent fan-out rings up exponentially many potential events)
@@ -401,9 +332,8 @@ pub struct SchedStats {
     pub fallback_lanes: Counter,
     /// Time inside [`SchedRunner::run_pass`].
     pub pass_ns: Stopwatch,
-    /// Caller-reported time re-running divergent lanes on the wheel
-    /// (public so trace sources can wrap their fallback loop in
-    /// `stats.fallback_ns.span()`).
+    /// Time inside [`LaneSweep::drain`]'s scalar reruns of divergent
+    /// lanes.
     pub fallback_ns: Stopwatch,
     /// Jitter draws taken through the staged tile sampler (the wide
     /// path: every draw is consumed, nothing is over-drawn).
@@ -411,8 +341,7 @@ pub struct SchedStats {
     /// Jitter draws taken scalar inside the sweep loop (too few toggled
     /// lanes for a tile to pay).
     pub jitter_scalar: Counter,
-    /// Divergent lanes repaired through a deferred [`RepairQueue`]
-    /// drain.
+    /// Divergent lanes repaired through a [`LaneSweep::drain`].
     pub repair_lanes: Counter,
     /// Batched drains of the repair queue; `repair_lanes / repair_drains`
     /// is the realized batch size.
@@ -471,7 +400,7 @@ pub struct SchedRunner {
     salts: [u64; LANES],
     // Per (gate, lane): pin-arrival state of the monotonicity check.
     planes_pin: Vec<PinLane>,
-    /// Sweep counters; `stats.fallback_ns` is the caller's to feed.
+    /// Sweep counters; the repair fields are fed by [`LaneSweep`].
     pub stats: SchedStats,
 }
 
@@ -927,6 +856,197 @@ impl SchedRunner {
         divergent &= lane_mask;
         self.stats.fallback_lanes.add(divergent.count_ones() as u64);
         divergent
+    }
+}
+
+/// Divergent lanes queued for their scalar rerun, in push order:
+/// `(trace seed, stimulus bits, caller slot)`.
+type RepairQueue = Vec<(u64, u32, u32)>;
+
+/// The scalar stimulus body: one stimulus plan on the event wheel.
+#[derive(Debug)]
+struct ScalarBody {
+    graph: Arc<SimGraph>,
+    delays: Arc<DelayModel>,
+    plan: Vec<(NetId, u64)>,
+    t_end_ps: u64,
+    /// Persistent event core, reset to each trace's seed.
+    sim: SimCore,
+}
+
+impl ScalarBody {
+    fn run(&mut self, seed: u64, stim_bits: u32, sink: &mut impl PowerSink) {
+        self.sim.reset(&self.graph, seed);
+        for (s, &(net, t)) in self.plan.iter().enumerate() {
+            self.sim.schedule(net, t, stim_bits >> s & 1 != 0);
+        }
+        self.sim.run_until(&self.graph, &self.delays, self.t_end_ps, sink);
+    }
+}
+
+/// The gate-level acquisition loop shared by every combinational trace
+/// source: a fixed stimulus plan swept 64 traces per pass over the
+/// compiled schedule, with divergent lanes queued and re-run on the
+/// scalar wheel under the same per-trace seed.
+///
+/// A trace is its seed plus its stimulus bits (bit `s` = the value of
+/// plan slot `s`); the source draws both and emits what the sinks
+/// collected. Without a compiled schedule (the `--scalar` reference, or
+/// a netlist that refuses compilation) sources call
+/// [`LaneSweep::run_scalar`] per trace instead of passes.
+///
+/// Ordering contract: [`LaneSweep::drain`] reruns lanes in push order,
+/// and every rerun is a pure function of its seed and stimulus bits, so
+/// when a source drains never changes a byte — only where its emission
+/// lands. A source drains before anything it draws in label order after
+/// the pass (measurement noise) reads the repaired lanes.
+#[derive(Debug)]
+pub struct LaneSweep {
+    body: ScalarBody,
+    compiled: Option<Arc<CompiledSchedule>>,
+    runner: SchedRunner,
+    repairs: RepairQueue,
+}
+
+impl LaneSweep {
+    /// A sweep of `plan` (`(net, time)` stimulus slots, at most 32) over
+    /// `graph` until `t_end_ps`. With `compile` the cascade is compiled
+    /// once here; without it every trace runs on the scalar wheel.
+    pub fn new(
+        graph: Arc<SimGraph>,
+        delays: Arc<DelayModel>,
+        plan: Vec<(NetId, u64)>,
+        t_end_ps: u64,
+        compile: bool,
+    ) -> Self {
+        assert!(plan.len() <= 32, "stimulus bits hold at most 32 slots");
+        let compiled = if compile {
+            CompiledSchedule::compile(&graph, &delays, &plan).map(Arc::new)
+        } else {
+            None
+        };
+        Self::assemble(graph, delays, plan, t_end_ps, compiled)
+    }
+
+    /// A sweep over the same plan and schedule with fresh per-worker
+    /// state.
+    pub fn fork(&self) -> Self {
+        let b = &self.body;
+        let (graph, delays) = (Arc::clone(&b.graph), Arc::clone(&b.delays));
+        Self::assemble(graph, delays, b.plan.clone(), b.t_end_ps, self.compiled.clone())
+    }
+
+    fn assemble(
+        graph: Arc<SimGraph>,
+        delays: Arc<DelayModel>,
+        plan: Vec<(NetId, u64)>,
+        t_end_ps: u64,
+        compiled: Option<Arc<CompiledSchedule>>,
+    ) -> Self {
+        let sim = SimCore::new(&graph, 0);
+        let body = ScalarBody { graph, delays, plan, t_end_ps, sim };
+        LaneSweep { body, compiled, runner: SchedRunner::new(), repairs: Vec::new() }
+    }
+
+    /// The simulated topology (its weights are the sinks' weight table).
+    pub fn graph(&self) -> &SimGraph {
+        &self.body.graph
+    }
+
+    /// End of the simulated window, in ps.
+    pub fn t_end_ps(&self) -> u64 {
+        self.body.t_end_ps
+    }
+
+    /// Whether passes run on a compiled schedule.
+    pub fn is_compiled(&self) -> bool {
+        self.compiled.is_some()
+    }
+
+    /// Simulate one trace on the scalar wheel into `sink`.
+    pub fn run_scalar(&mut self, seed: u64, stim_bits: u32, sink: &mut impl PowerSink) {
+        self.body.run(seed, stim_bits, sink);
+    }
+
+    /// Sweep up to 64 `(seed, stimulus bits)` traces in one compiled
+    /// pass into `sink`, and queue each divergent lane `l` for repair
+    /// under `slot(l)`. Returns the divergent-lane mask: those lanes
+    /// emitted nothing and land through [`LaneSweep::drain`].
+    ///
+    /// # Panics
+    ///
+    /// Panics without a compiled schedule.
+    pub fn run_pass(
+        &mut self,
+        lanes: &[(u64, u32)],
+        sink: &mut impl LaneSink,
+        slot: impl Fn(usize) -> u32,
+    ) -> u64 {
+        let sched = self.compiled.as_deref().expect("run_pass needs a compiled schedule");
+        let mut seeds = [0u64; LANES];
+        let mut stim = [0u64; 32];
+        let stim = &mut stim[..sched.num_stims];
+        for (l, &(seed, bits)) in lanes.iter().enumerate() {
+            seeds[l] = seed;
+            for (s, w) in stim.iter_mut().enumerate() {
+                *w |= u64::from(bits >> s & 1) << l;
+            }
+        }
+        let b = &self.body;
+        let div = self.runner.run_pass(
+            sched,
+            &b.graph,
+            &b.delays,
+            b.graph.weights(),
+            &seeds[..lanes.len()],
+            stim,
+            b.t_end_ps,
+            sink,
+        );
+        let mut m = div;
+        while m != 0 {
+            let l = m.trailing_zeros() as usize;
+            m &= m - 1;
+            self.repairs.push((lanes[l].0, lanes[l].1, slot(l)));
+        }
+        div
+    }
+
+    /// Re-run every queued lane on the scalar wheel into `sink`, in push
+    /// order, handing `emit` each lane's slot and the sink. `sink` must
+    /// start clear; `emit` reads the result and clears it for the next
+    /// rerun. The
+    /// batch runs under one `fallback_ns` span and counts in
+    /// `repair.lanes` / `repair.drains`. Returns the batch size.
+    pub fn drain<P: PowerSink>(
+        &mut self,
+        sink: &mut P,
+        mut emit: impl FnMut(u32, &mut P),
+    ) -> usize {
+        let n = self.repairs.len();
+        if n == 0 {
+            return 0;
+        }
+        let stats = &mut self.runner.stats;
+        let span = stats.fallback_ns.span();
+        let repair_span = gm_obs::trace::span("sched.repair");
+        for &(seed, bits, slot) in &self.repairs {
+            self.body.run(seed, bits, sink);
+            emit(slot, sink);
+        }
+        drop(repair_span);
+        drop(span);
+        stats.repair_drains.inc();
+        stats.repair_lanes.add(n as u64);
+        self.repairs.clear();
+        n
+    }
+
+    /// Export the wheel's counters under `sim.*` and the sweep's under
+    /// `sim.sched.*`.
+    pub fn obs_report(&self, r: &mut Report) {
+        self.body.sim.obs_report("sim", r);
+        self.runner.obs_report("sim.sched", r);
     }
 }
 

@@ -5,14 +5,16 @@
 //! net values bit-for-bit under the same per-trace seed (the wheel is
 //! itself pinned against a `BinaryHeap` model in `prop.rs`, so the chain
 //! closes transitively). Divergent lanes are the documented fallback:
-//! the caller queues them for a batched rerun on the wheel, which is
-//! trivially identical.
+//! [`LaneSweep`] queues them for a batched rerun on the wheel, and the
+//! composition tests below pin every lane it lands against a fresh
+//! wheel.
 
 use gm_netlist::{NetId, Netlist};
 use gm_sim::{
-    CompiledSchedule, DelayModel, LaneSink, PowerSink, RepairQueue, SchedRunner, SimCore, SimGraph,
+    CompiledSchedule, DelayModel, LaneSink, LaneSweep, PowerSink, SchedRunner, SimCore, SimGraph,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Lanes per property case: enough to exercise the lane-word paths
 /// (including bits past 32) while keeping the scalar reference cheap.
@@ -140,70 +142,52 @@ proptest! {
 
     /// High-sigma campaign composition: with jitter far above the
     /// process spread the base order lies often, so lanes diverge —
-    /// and the campaign recipe (sweep for the clean lanes, a *reused*
-    /// scalar core re-run per divergent lane, exactly like the bench
-    /// trace sources) must reproduce a fresh-core wheel reference
-    /// bit-for-bit on **every** lane, divergent or not.
+    /// and [`LaneSweep`] (a compiled pass for the clean lanes, a
+    /// *reused* scalar core re-run per divergent lane, exactly what the
+    /// bench trace sources run) must reproduce a fresh-core wheel
+    /// reference bit-for-bit on **every** lane, divergent or not.
     #[test]
     fn high_sigma_fallback_composes_exactly(
         gates in prop::collection::vec((0u8..8, 0u8..32, 0u8..32), 8..24),
         slots in prop::collection::vec((0u8..4, 0u64..8_000), 2..10),
-        lane_vals in prop::collection::vec(any::<u64>(), 10..11),
+        lane_bits in prop::collection::vec(any::<u32>(), TEST_LANES..TEST_LANES + 1),
         seed in any::<u64>(),
     ) {
         let (n, inputs) = random_cone(&gates);
         // Sigma of 500 ps against ~350-1200 ps base delays: adjacent
         // arrivals swap routinely, which is what forces divergence.
-        let delays = DelayModel::with_variation(&n, 0.3, 500.0, seed);
-        let graph = SimGraph::new(&n);
+        let delays = Arc::new(DelayModel::with_variation(&n, 0.3, 500.0, seed));
+        let graph = Arc::new(SimGraph::new(&n));
         let stims: Vec<(NetId, u64)> =
             slots.iter().map(|&(i, t)| (inputs[i as usize % 4], t)).collect();
-        let sched = CompiledSchedule::compile(&graph, &delays, &stims)
-            .expect("combinational input-driven cone compiles");
         let t_end = 400_000u64;
+        let mut sweep =
+            LaneSweep::new(Arc::clone(&graph), Arc::clone(&delays), stims.clone(), t_end, true);
+        prop_assert!(sweep.is_compiled(), "combinational input-driven cone compiles");
 
-        let seeds: Vec<u64> = (0..TEST_LANES as u64)
-            .map(|l| seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(l * 1729 + 5))
+        let lanes: Vec<(u64, u32)> = lane_bits
+            .iter()
+            .enumerate()
+            .map(|(l, &bits)| {
+                (seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(l as u64 * 1729 + 5), bits)
+            })
             .collect();
-        let stim_values: Vec<u64> = lane_vals[..stims.len()].to_vec();
-
-        let mut runner = SchedRunner::new();
         let mut rec = LaneRecording(vec![Vec::new(); gm_sim::LANES]);
-        let div = runner.run_pass(
-            &sched, &graph, &delays, graph.weights(), &seeds, &stim_values, t_end, &mut rec,
-        );
+        let div = sweep.run_pass(&lanes, &mut rec, |l| l as u32);
 
-        // Divergent lanes go through a [`RepairQueue`] drained on one
-        // recycled fallback core, exactly like the trace sources: the
-        // drain must land each rerun in its original label slot, and
-        // reset-reuse must not leak state between lanes.
-        let mut repairs = RepairQueue::new();
-        for (l, &lane_seed) in seeds.iter().enumerate().take(TEST_LANES) {
-            if div >> l & 1 != 0 {
-                let mut sb = 0u32;
-                for (s, v) in stim_values.iter().enumerate() {
-                    sb |= ((v >> l & 1) as u32) << s;
-                }
-                repairs.push(lane_seed, sb, l as u32);
-            }
-        }
-        let queued = repairs.len();
-        let mut fallback = SimCore::new(&graph, 0);
+        // The drain must land each rerun in its original slot, and
+        // reset-reuse of the one scalar core must not leak state
+        // between lanes.
         let mut composed: Vec<Option<Stream>> = vec![None; TEST_LANES];
-        let drained = repairs.drain(&mut runner.stats, |ticket| {
-            fallback.reset(&graph, ticket.seed);
-            for (s, &(net, t)) in stims.iter().enumerate() {
-                fallback.schedule(net, t, ticket.stim_bits >> s & 1 != 0);
-            }
-            let mut sink = RecordingSink::default();
-            fallback.run_until(&graph, &delays, t_end, &mut sink);
+        let drained = sweep.drain(&mut RecordingSink::default(), |slot, sink| {
             sink.0.sort_unstable();
-            let slot = &mut composed[ticket.slot as usize];
-            assert!(slot.is_none(), "lane {} repaired twice", ticket.slot);
-            *slot = Some(sink.0);
+            let slot = &mut composed[slot as usize];
+            assert!(slot.is_none(), "lane repaired twice");
+            *slot = Some(std::mem::take(&mut sink.0));
         });
-        prop_assert_eq!(drained, queued, "drain must repair every queued ticket");
-        prop_assert!(repairs.is_empty(), "drain must leave the queue empty");
+        prop_assert_eq!(drained, div.count_ones() as usize, "every divergent lane repaired");
+        let again = sweep.drain(&mut RecordingSink::default(), |_, _| {});
+        prop_assert_eq!(again, 0, "drain must empty the queue");
         for (l, slot) in composed.iter_mut().enumerate() {
             prop_assert_eq!(slot.is_some(), div >> l & 1 != 0, "lane {} repaired iff divergent", l);
             slot.get_or_insert_with(|| {
@@ -213,10 +197,10 @@ proptest! {
             });
         }
 
-        for (l, &lane_seed) in seeds.iter().enumerate().take(TEST_LANES) {
+        for (l, &(lane_seed, bits)) in lanes.iter().enumerate() {
             let mut fresh = SimCore::new(&graph, lane_seed);
             for (s, &(net, t)) in stims.iter().enumerate() {
-                fresh.schedule(net, t, stim_values[s] >> l & 1 != 0);
+                fresh.schedule(net, t, bits >> s & 1 != 0);
             }
             let mut want = RecordingSink::default();
             fresh.run_until(&graph, &delays, t_end, &mut want);
@@ -273,66 +257,42 @@ fn high_sigma_actually_diverges() {
 /// has to carry more than one lane, or the batched path degenerates to
 /// per-lane reruns with extra bookkeeping and the hoisted-span
 /// accounting measures nothing. Same deterministic sweep as
-/// [`high_sigma_actually_diverges`], with every pass's divergent lanes
-/// queued and drained; the drained results must match a per-lane wheel
-/// rerun bit-for-bit.
+/// [`high_sigma_actually_diverges`], run through [`LaneSweep`]; every
+/// drained rerun must match a fresh per-lane wheel run bit-for-bit.
 #[test]
 fn repair_drain_batches_multiple_lanes() {
     let gates: Vec<(u8, u8, u8)> = (0..18u8).map(|k| (k % 6, k % 7, (k * 5 + 2) % 11)).collect();
     let (n, inputs) = random_cone(&gates);
-    let graph = SimGraph::new(&n);
+    let graph = Arc::new(SimGraph::new(&n));
     let stims: Vec<(NetId, u64)> = (0..4).map(|i| (inputs[i], 1_000 + 40 * i as u64)).collect();
-    let stim_values = vec![!0u64, 0x5555_5555_5555_5555, 0x0f0f_0f0f_0f0f_0f0f, !0u64];
+    let words = [!0u64, 0x5555_5555_5555_5555, 0x0f0f_0f0f_0f0f_0f0f, !0u64];
     let mut max_batch = 0usize;
     for device in 0..20u64 {
-        let delays = DelayModel::with_variation(&n, 0.3, 600.0, device);
-        let sched = CompiledSchedule::compile(&graph, &delays, &stims).expect("cone compiles");
-        let mut runner = SchedRunner::new();
-        let seeds: Vec<u64> = (0..TEST_LANES as u64)
-            .map(|l| device.wrapping_mul(0x243f_6a88_85a3_08d3) ^ (l * 977 + 13))
+        let delays = Arc::new(DelayModel::with_variation(&n, 0.3, 600.0, device));
+        let mut sweep =
+            LaneSweep::new(Arc::clone(&graph), Arc::clone(&delays), stims.clone(), 400_000, true);
+        let lanes: Vec<(u64, u32)> = (0..TEST_LANES as u64)
+            .map(|l| {
+                let bits = (0..4).fold(0u32, |b, s| b | ((words[s] >> l & 1) as u32) << s);
+                (device.wrapping_mul(0x243f_6a88_85a3_08d3) ^ (l * 977 + 13), bits)
+            })
             .collect();
         let mut rec = LaneRecording(vec![Vec::new(); gm_sim::LANES]);
-        let div = runner.run_pass(
-            &sched,
-            &graph,
-            &delays,
-            graph.weights(),
-            &seeds,
-            &stim_values,
-            400_000,
-            &mut rec,
-        );
-        let mut repairs = RepairQueue::new();
-        for (l, &seed) in seeds.iter().enumerate().take(TEST_LANES) {
-            if div >> l & 1 != 0 {
-                let mut sb = 0u32;
-                for (s, v) in stim_values.iter().enumerate() {
-                    sb |= ((v >> l & 1) as u32) << s;
-                }
-                repairs.push(seed, sb, l as u32);
-            }
-        }
-        let mut fallback = SimCore::new(&graph, 0);
-        let batch = repairs.drain(&mut runner.stats, |ticket| {
-            fallback.reset(&graph, ticket.seed);
-            for (s, &(net, t)) in stims.iter().enumerate() {
-                fallback.schedule(net, t, ticket.stim_bits >> s & 1 != 0);
-            }
-            let mut got = RecordingSink::default();
-            fallback.run_until(&graph, &delays, 400_000, &mut got);
+        let div = sweep.run_pass(&lanes, &mut rec, |l| l as u32);
+        let batch = sweep.drain(&mut RecordingSink::default(), |slot, got| {
             got.0.sort_unstable();
-
-            let l = ticket.slot as usize;
-            let mut fresh = SimCore::new(&graph, seeds[l]);
+            let (seed, bits) = lanes[slot as usize];
+            let mut fresh = SimCore::new(&graph, seed);
             for (s, &(net, t)) in stims.iter().enumerate() {
-                fresh.schedule(net, t, stim_values[s] >> l & 1 != 0);
+                fresh.schedule(net, t, bits >> s & 1 != 0);
             }
             let mut want = RecordingSink::default();
             fresh.run_until(&graph, &delays, 400_000, &mut want);
             want.0.sort_unstable();
-            assert_eq!(got.0, want.0, "device {device} lane {l} drained repair");
+            assert_eq!(got.0, want.0, "device {device} lane {slot} drained repair");
+            got.0.clear();
         });
-        assert_eq!(batch, (div & ((1u64 << TEST_LANES) - 1)).count_ones() as usize);
+        assert_eq!(batch, div.count_ones() as usize);
         max_batch = max_batch.max(batch);
     }
     assert!(
