@@ -27,7 +27,7 @@ use rand::{RngExt, SeedableRng};
 
 /// Acquisition-order trace generator for the attacks: draws plaintexts,
 /// runs the masked FF core, and yields `(plaintext, trace)` pairs. The
-/// default backend packs 64 encryptions per pass through the bitsliced
+/// default backend packs 256 encryptions per pass through the bitsliced
 /// engine; `--scalar` replays them one at a time through the reference
 /// core. Both consume the plaintext/mask/noise RNG streams identically,
 /// so the attack statistics are bit-for-bit the same either way.

@@ -30,7 +30,7 @@ fn main() {
     let mut metrics = MetricsSink::from_args("fig14", &args);
     let traces = args.trace_count(40_000, 400_000);
     let run_all = args.panel.is_none();
-    let backend = if args.scalar { "scalar reference" } else { "64-way bitsliced" };
+    let backend = if args.scalar { "scalar reference" } else { "256-way bitsliced" };
     println!("FIG. 14 — leakage assessment, protected DES with secAND2-FF");
     println!("(campaign: {traces} traces ≙ the paper's 50M; threshold ±4.5; {backend} backend)\n");
 

@@ -22,7 +22,7 @@ fn main() {
     let args = Args::parse();
     let mut metrics = MetricsSink::from_args("fig15", &args);
     let per_version = args.trace_count(2_000, 8_000);
-    let backend = if args.scalar { "scalar reference" } else { "64-way bitsliced" };
+    let backend = if args.scalar { "scalar reference" } else { "256-way bitsliced" };
     println!("FIG. 15 — DelayUnit-size sweep, protected DES with secAND2-PD");
     println!(
         "({per_version} traces/version ≙ the paper's 500k; same fixed plaintext; \

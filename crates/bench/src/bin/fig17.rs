@@ -66,7 +66,7 @@ fn main() {
         return;
     }
     let traces = args.trace_count(40_000, 400_000);
-    let backend = if args.scalar { "scalar reference" } else { "64-way bitsliced" };
+    let backend = if args.scalar { "scalar reference" } else { "256-way bitsliced" };
     println!("FIG. 17 — leakage assessment, protected DES with secAND2-PD (10-LUT units)");
     println!("(campaign: {traces} traces ≙ the paper's 50M; threshold ±4.5; {backend} backend)\n");
 

@@ -23,7 +23,7 @@ pub struct Args {
     /// netlist instead of the cycle model (binaries that support both).
     pub gate_level: bool,
     /// `--scalar`: use the scalar reference backend instead of the
-    /// 64-way lane-parallel one (bit-identical results, slower). For
+    /// 256-way lane-parallel one (bit-identical results, slower). For
     /// cycle-model campaigns that is the per-trace evaluator instead of
     /// the bitsliced engine; for gate-level campaigns it is the dynamic
     /// event wheel instead of the compiled schedule.

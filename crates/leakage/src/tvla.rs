@@ -60,7 +60,7 @@ pub trait TraceSource: Send {
     /// capacity each). Returns the `(fixed, random)` row counts.
     ///
     /// The default forwards to [`TraceSource::trace`] per label. Sources
-    /// that amortise work across many traces (the 64-way bitsliced cycle
+    /// that amortise work across many traces (the 256-way bitsliced cycle
     /// model in `gm-des`) override this; an override must consume its
     /// per-trace RNG streams in label order so campaign results stay
     /// bit-identical with the per-trace path.

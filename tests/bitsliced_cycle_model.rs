@@ -1,4 +1,4 @@
-//! The 64-lane bitsliced DES cycle engine against the scalar masked
+//! The 256-lane bitsliced DES cycle engine against the scalar masked
 //! cores: a group of `n` lanes must give the same ciphertexts and the same
 //! per-cycle records as `n` sequential `MaskedDesFf`/`MaskedDesPd`
 //! encryptions drawing from an identically seeded mask RNG, and
@@ -60,12 +60,14 @@ fn assert_groups_match_scalar(
     }
 }
 
+/// Lane counts on both sides of every 64-lane element boundary of the
+/// lane word, a full group and a single lane.
 #[test]
 fn bitsliced_groups_match_scalar_cores() {
     let mut counters = CycleLaneCounters::new();
     let mut pt_seed = 0xB175_11CE;
     for pd in [true, false] {
-        for lanes in [64, 17, 1] {
+        for lanes in [256, 255, 193, 129, 65, 64, 63, 17, 1] {
             for mask_seed in [Some(pt_seed ^ 0x5EED), None] {
                 assert_groups_match_scalar(&mut counters, pd, lanes, 2, mask_seed, pt_seed);
                 pt_seed += 1;
