@@ -19,7 +19,7 @@ use gm_des::power::PowerModel;
 use gm_leakage::{Campaign, Class, TraceSource, TvlaResult, THRESHOLD};
 use gm_netlist::Netlist;
 use gm_sim::power::CountingSink;
-use gm_sim::{DelayModel, Simulator};
+use gm_sim::{DelayModel, SimCore, SimGraph};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -182,6 +182,8 @@ fn ablation_reset(trials: u64, seed: u64) {
     n.output("z1", out.z1);
     n.validate().unwrap();
     let delays = DelayModel::with_variation(&n, 0.15, 40.0, seed);
+    let graph = SimGraph::new(&n);
+    let mut sim = SimCore::new(&graph, seed);
 
     for reset in [false, true] {
         // E[toggles after a0 arrives | previous n].
@@ -194,29 +196,28 @@ fn ablation_reset(trials: u64, seed: u64) {
             let nn = MaskedBit::mask(n_val, &mut rng);
             let a = MaskedBit::mask(rng.bit(), &mut rng);
 
-            let mut sim = Simulator::new(&n, &delays, seed ^ t);
-            sim.init_all_zero();
+            sim.reset(&graph, seed ^ t);
             // First multiplication settles.
             sim.schedule(io.y0, 1_000, nn.s0);
             sim.schedule(io.x0, 2_000, m.s0);
             sim.schedule(io.x1, 3_000, m.s1);
             sim.schedule(io.y1, 4_000, nn.s1);
             let mut sink = CountingSink::default();
-            sim.run_until(40_000, &mut sink);
+            sim.run_until(&graph, &delays, 40_000, &mut sink);
 
             if reset {
                 // Clear the inputs (and let the gadget settle) first.
                 for net in [io.x0, io.x1, io.y0, io.y1] {
                     sim.schedule(net, 41_000, false);
                 }
-                sim.run_until(80_000, &mut sink);
+                sim.run_until(&graph, &delays, 80_000, &mut sink);
             }
 
             // Second multiplication: a0 arrives first.
             let t0 = sim.time();
             sim.schedule(io.x0, t0 + 1_000, a.s0);
             let mut second = CountingSink::default();
-            sim.run_until(t0 + 30_000, &mut second);
+            sim.run_until(&graph, &delays, t0 + 30_000, &mut second);
 
             sums[usize::from(n_val)] += second.count as f64;
             counts[usize::from(n_val)] += 1;

@@ -16,7 +16,7 @@ use crate::rng::MaskRng;
 use crate::share::MaskedBit;
 use gm_netlist::{NetId, Netlist};
 use gm_sim::power::NetToggleSink;
-use gm_sim::{DelayModel, Simulator};
+use gm_sim::{DelayModel, SimCore, SimGraph};
 
 /// Outcome of a glitch-extended probe analysis.
 #[derive(Debug, Clone)]
@@ -61,6 +61,8 @@ pub fn glitch_probe(
     let end_time = arrivals.iter().map(|&(_, t)| t).max().unwrap_or(0) + 1_000_000;
 
     let delays = DelayModel::with_variation(netlist, 0.15, jitter_sigma_ps, seed);
+    let graph = SimGraph::new(netlist);
+    let mut sim = SimCore::new(&graph, seed);
     let mut rng = MaskRng::new(seed ^ 0x5851_f42d_4c95_7f2d);
 
     let mut sums = vec![vec![0f64; num_nets]; num_classes];
@@ -79,8 +81,7 @@ pub fn glitch_probe(
             assignment.push((s1, shared.s1));
         }
 
-        let mut sim = Simulator::new(netlist, &delays, seed ^ trial);
-        sim.init_all_zero();
+        sim.reset(&graph, seed ^ trial);
         for &(net, t) in arrivals {
             let v = assignment
                 .iter()
@@ -90,7 +91,7 @@ pub fn glitch_probe(
             sim.schedule(net, t, v);
         }
         sink.clear();
-        sim.run_until(end_time, &mut sink);
+        sim.run_until(&graph, &delays, end_time, &mut sink);
 
         counts[class] += 1;
         for (s, &c) in sums[class].iter_mut().zip(&sink.counts) {

@@ -61,7 +61,7 @@ mod tests {
     use crate::rng::MaskRng;
     use gm_netlist::{Evaluator, GateKind};
     use gm_sim::power::NullSink;
-    use gm_sim::{DelayModel, Simulator};
+    use gm_sim::{DelayModel, SimCore, SimGraph};
 
     #[test]
     fn functional_equivalence_with_sec_and2() {
@@ -120,8 +120,8 @@ mod tests {
     fn arrival_order_enforced() {
         let (n, io, out) = build(PdConfig::OPTIMAL);
         let delays = DelayModel::nominal(&n);
-        let mut sim = Simulator::new(&n, &delays, 0);
-        sim.init_all_zero();
+        let graph = SimGraph::new(&n);
+        let mut sim = SimCore::new(&graph, 0);
         // Shares of x = 1 and y = 1 rise simultaneously at the inputs:
         // x = (1, 0), y = (1, 0) — only the s0 nets carry edges.
         sim.schedule(io.x0, 1_000, true);
@@ -130,13 +130,13 @@ mod tests {
         // Before one DelayUnit has elapsed, the delayed copy of x0 has not
         // reached the core yet, so the product is still computed with the
         // old x0 = 0.
-        sim.run_until(1_000 + unit_ps / 2, &mut NullSink);
+        sim.run_until(&graph, &delays, 1_000 + unit_ps / 2, &mut NullSink);
         assert!(
             !(sim.value(out.z0) ^ sim.value(out.z1)),
             "product must not have updated before the DelayUnit elapsed"
         );
         // After all DelayUnits settle the product is correct.
-        sim.run_until(1_000 + 3 * unit_ps, &mut NullSink);
+        sim.run_until(&graph, &delays, 1_000 + 3 * unit_ps, &mut NullSink);
         assert_eq!(sim.value(out.z0) ^ sim.value(out.z1), true & true);
     }
 }

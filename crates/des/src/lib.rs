@@ -19,14 +19,11 @@
 //!   TVLA campaigns (cross-validated against the event simulator).
 //! * [`tvla_src`] — `gm_leakage::TraceSource` adapters over both the
 //!   cycle model and the gate-level netlists.
-//! * [`modes`] — ECB/CBC with PKCS#7 over any of the engines, so the
-//!   masked cores drop into an existing TDES data path.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod masked;
-pub mod modes;
 pub mod netlist_gen;
 pub mod power;
 pub mod reference;

@@ -117,28 +117,6 @@ impl MaskedDesFf {
         rng: &mut MaskRng,
         cycles: &mut Vec<CycleRecord>,
     ) -> u64 {
-        self.crypt_with_cycles(plaintext, rng, false, cycles)
-    }
-
-    /// Decrypt one block in the masked domain (reverse key schedule —
-    /// the same datapath, as in hardware).
-    pub fn decrypt_with_cycles(
-        &self,
-        ciphertext: u64,
-        rng: &mut MaskRng,
-    ) -> (u64, Vec<CycleRecord>) {
-        let mut cycles = Vec::with_capacity(Self::TOTAL_CYCLES);
-        let pt = self.crypt_with_cycles(ciphertext, rng, true, &mut cycles);
-        (pt, cycles)
-    }
-
-    fn crypt_with_cycles(
-        &self,
-        plaintext: u64,
-        rng: &mut MaskRng,
-        decrypt: bool,
-        cycles: &mut Vec<CycleRecord>,
-    ) -> u64 {
         cycles.clear();
         cycles.reserve(Self::TOTAL_CYCLES);
 
@@ -166,7 +144,7 @@ impl MaskedDesFf {
 
         for _round in 0..16 {
             let (c_old, d_old) = ks.state();
-            let rk = if decrypt { ks.next_round_key_decrypt() } else { ks.next_round_key() };
+            let rk = ks.next_round_key();
             let (c_new, d_new) = ks.state();
             let key_hd = share_hd(c_old, c_new) + share_hd(d_old, d_new);
 

@@ -73,27 +73,6 @@ impl MaskedDesPd {
         rng: &mut MaskRng,
         cycles: &mut Vec<CycleRecord>,
     ) -> u64 {
-        self.crypt_with_cycles(plaintext, rng, false, cycles)
-    }
-
-    /// Decrypt one block in the masked domain (reverse key schedule).
-    pub fn decrypt_with_cycles(
-        &self,
-        ciphertext: u64,
-        rng: &mut MaskRng,
-    ) -> (u64, Vec<CycleRecord>) {
-        let mut cycles = Vec::with_capacity(Self::TOTAL_CYCLES);
-        let pt = self.crypt_with_cycles(ciphertext, rng, true, &mut cycles);
-        (pt, cycles)
-    }
-
-    fn crypt_with_cycles(
-        &self,
-        plaintext: u64,
-        rng: &mut MaskRng,
-        decrypt: bool,
-        cycles: &mut Vec<CycleRecord>,
-    ) -> u64 {
         cycles.clear();
         cycles.reserve(Self::TOTAL_CYCLES);
 
@@ -121,7 +100,7 @@ impl MaskedDesPd {
         let mut traces = [SboxTrace::default(); 8];
 
         for _round in 0..16 {
-            let rk = if decrypt { ks.next_round_key_decrypt() } else { ks.next_round_key() };
+            let rk = ks.next_round_key();
             let pool = if self.refresh_enabled {
                 SboxRandomness::draw(rng)
             } else {

@@ -6,7 +6,7 @@
 //! key afresh per encryption), and the schedule runs in parallel with the
 //! datapath — it contributes ~900 GE to the FF core's area (§VI-A).
 
-use crate::tables::{permute, rotl, rotr, PC1, PC2, SHIFTS};
+use crate::tables::{permute, rotl, PC1, PC2, SHIFTS};
 use gm_core::{MaskRng, MaskedWord};
 
 /// Masked key-schedule state: the shared C and D halves.
@@ -60,28 +60,6 @@ impl MaskedKeySchedule {
         self.emit()
     }
 
-    /// Emit the next masked round key in *decryption* order
-    /// (K16, K15, …, K1): the hardware-friendly reverse walk — no
-    /// rotation before K16 (the halves are back at their PC1 state after
-    /// the 28 encryption rotations), right-rotations thereafter.
-    ///
-    /// # Panics
-    ///
-    /// Panics after 16 rounds. Do not mix with [`Self::next_round_key`]
-    /// on the same instance.
-    pub fn next_round_key_decrypt(&mut self) -> MaskedWord {
-        assert!(self.round < 16, "DES has 16 rounds");
-        if self.round > 0 {
-            let s = u32::from(SHIFTS[16 - self.round]);
-            self.c =
-                MaskedWord { s0: rotr(self.c.s0, 28, s), s1: rotr(self.c.s1, 28, s), width: 28 };
-            self.d =
-                MaskedWord { s0: rotr(self.d.s0, 28, s), s1: rotr(self.d.s1, 28, s), width: 28 };
-        }
-        self.round += 1;
-        self.emit()
-    }
-
     fn emit(&self) -> MaskedWord {
         let cd0 = (self.c.s0 << 28) | self.d.s0;
         let cd1 = (self.c.s1 << 28) | self.d.s1;
@@ -105,17 +83,6 @@ mod tests {
                 assert_eq!(got.unmask(), *w, "key {key:016x} round {r}");
                 assert_eq!(got.width, 48);
             }
-        }
-    }
-
-    #[test]
-    fn decrypt_order_is_reversed_encrypt_order() {
-        let mut rng = MaskRng::new(115);
-        let key = 0x133457799BBCDFF1;
-        let fwd = round_keys(key);
-        let mut ks = MaskedKeySchedule::new(key, &mut rng);
-        for r in 0..16 {
-            assert_eq!(ks.next_round_key_decrypt().unmask(), fwd[15 - r], "decrypt round {r}");
         }
     }
 

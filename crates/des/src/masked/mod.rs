@@ -21,11 +21,9 @@ pub mod core_ff;
 pub mod core_pd;
 pub mod datapath;
 pub mod key_schedule;
-pub mod tdes;
 
 pub use bitslice::BitslicedDes;
 pub use core_ff::MaskedDesFf;
 pub use core_pd::MaskedDesPd;
 pub use datapath::MaskedDes;
 pub use key_schedule::MaskedKeySchedule;
-pub use tdes::{MaskedTdesFf, MaskedTdesPd};

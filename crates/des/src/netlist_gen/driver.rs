@@ -3,7 +3,7 @@
 //! The control schedule is data-independent (public); it is expressed
 //! once as a list of per-cycle control words and can drive either the
 //! zero-delay [`gm_netlist::Evaluator`] (fast functional checks) or the
-//! event-driven [`gm_sim::ClockedSim`] (glitch-accurate power traces).
+//! event-driven [`gm_sim::ClockedCore`] (glitch-accurate power traces).
 
 use super::core::{DesCoreNetlist, SboxStyle};
 use crate::tables::SHIFTS;

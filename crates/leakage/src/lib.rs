@@ -18,30 +18,22 @@
 //! * [`snr`] — signal-to-noise ratio over labelled partitions.
 //! * [`cpa`] — correlation power analysis, to demonstrate that detected
 //!   leaks are *exploitable* (key recovery on the PRNG-off cores).
-//! * [`chi2`] — χ² leakage detection: whole-histogram comparison that
-//!   catches shape differences fixed-order t-tests are blind to.
-//! * [`trace_io`] — CSV / compact-binary trace import & export, so the
-//!   pipeline also serves traces captured on real hardware.
 //! * [`report`] — ASCII rendering of t-statistic curves and CSV dumps.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chi2;
 pub mod cpa;
 pub mod detect;
 pub mod moments;
 pub mod report;
 pub mod snr;
-pub mod trace_io;
 pub mod ttest;
 pub mod tvla;
 
-pub use chi2::Chi2;
 pub use cpa::Cpa;
 pub use detect::{first_detection, leaks, THRESHOLD};
 pub use moments::{BlockScratch, TraceMoments};
 pub use snr::Snr;
-pub use trace_io::TraceSet;
 pub use ttest::{t_first_order, t_second_order, t_third_order};
 pub use tvla::{BlockLayout, Campaign, CampaignObs, Class, TraceSource, TvlaResult, WorkerObs};

@@ -8,11 +8,12 @@
 //! paper's controlled input-sequence experiments (Table I) are reproduced.
 //!
 //! [`ClockedCore`] is the owned, reusable state (one per campaign
-//! worker); [`ClockedSim`] the borrow-style convenience wrapper.
+//! worker); like [`SimCore`], it takes the [`SimGraph`] and the
+//! [`DelayModel`] by reference on every propagating call.
 
 use crate::delay::DelayModel;
-use crate::engine::{GraphRef, PowerSink, SimCore, SimGraph, MAX_PINS};
-use gm_netlist::{NetId, Netlist};
+use crate::engine::{PowerSink, SimCore, SimGraph, MAX_PINS};
+use gm_netlist::NetId;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -32,6 +33,32 @@ pub struct Stimulus {
 /// jitter RNG. Like `SimCore`, every method takes the graph/delays by
 /// reference so the core can persist inside campaign workers;
 /// [`ClockedCore::reset`] restores the power-on state in O(touched).
+///
+/// # Examples
+///
+/// A one-bit register pipeline under real event timing:
+///
+/// ```
+/// use gm_netlist::Netlist;
+/// use gm_sim::clocked::Stimulus;
+/// use gm_sim::power::NullSink;
+/// use gm_sim::{ClockedCore, DelayModel, SimGraph};
+///
+/// let mut n = Netlist::new("pipe");
+/// let d = n.input("d");
+/// let q0 = n.dff(d);
+/// let q1 = n.dff(q0);
+/// n.output("q1", q1);
+///
+/// let graph = SimGraph::new(&n);
+/// let delays = DelayModel::nominal(&n);
+/// let mut core = ClockedCore::new(&graph, 10_000, 0);
+/// let rise = [Stimulus { net: d, offset_ps: 100, value: true }];
+/// core.step(&graph, &delays, &rise, &mut NullSink);
+/// core.step(&graph, &delays, &[], &mut NullSink);
+/// core.step(&graph, &delays, &[], &mut NullSink);
+/// assert!(core.value(q1), "the bit took two edges to reach q1");
+/// ```
 #[derive(Debug)]
 pub struct ClockedCore {
     sim: SimCore,
@@ -186,135 +213,11 @@ impl ClockedCore {
     }
 }
 
-/// Clocked wrapper over the event engine, binding a graph and a
-/// [`DelayModel`] to a [`ClockedCore`].
-///
-/// # Examples
-///
-/// A one-bit register pipeline under real event timing:
-///
-/// ```
-/// use gm_netlist::Netlist;
-/// use gm_sim::clocked::Stimulus;
-/// use gm_sim::power::NullSink;
-/// use gm_sim::{ClockedSim, DelayModel};
-///
-/// let mut n = Netlist::new("pipe");
-/// let d = n.input("d");
-/// let q0 = n.dff(d);
-/// let q1 = n.dff(q0);
-/// n.output("q1", q1);
-///
-/// let delays = DelayModel::nominal(&n);
-/// let mut sim = ClockedSim::new(&n, &delays, 10_000, 0);
-/// sim.step(&[Stimulus { net: d, offset_ps: 100, value: true }], &mut NullSink);
-/// sim.step(&[], &mut NullSink);
-/// sim.step(&[], &mut NullSink);
-/// assert!(sim.value(q1), "the bit took two edges to reach q1");
-/// ```
-pub struct ClockedSim<'a> {
-    delays: &'a DelayModel,
-    graph: GraphRef<'a>,
-    core: ClockedCore,
-}
-
-impl<'a> ClockedSim<'a> {
-    /// Build a clocked simulator with the given clock period.
-    pub fn new(netlist: &Netlist, delays: &'a DelayModel, period_ps: u64, seed: u64) -> Self {
-        let graph = Box::new(SimGraph::new(netlist));
-        let core = ClockedCore::new(&graph, period_ps, seed);
-        ClockedSim { delays, graph: GraphRef::Owned(graph), core }
-    }
-
-    /// Build a clocked simulator over a shared prebuilt [`SimGraph`].
-    pub fn with_graph(
-        graph: &'a SimGraph,
-        delays: &'a DelayModel,
-        period_ps: u64,
-        seed: u64,
-    ) -> Self {
-        let core = ClockedCore::new(graph, period_ps, seed);
-        ClockedSim { delays, graph: GraphRef::Shared(graph), core }
-    }
-
-    /// The simulation topology in use.
-    pub fn graph(&self) -> &SimGraph {
-        self.graph.get()
-    }
-
-    /// Clock period in ps.
-    pub fn period_ps(&self) -> u64 {
-        self.core.period_ps()
-    }
-
-    /// Number of full cycles simulated so far.
-    pub fn cycle(&self) -> u64 {
-        self.core.cycle()
-    }
-
-    /// Current simulation time in ps.
-    pub fn time_ps(&self) -> u64 {
-        self.core.time_ps()
-    }
-
-    /// Current value of a net.
-    pub fn value(&self, net: NetId) -> bool {
-        self.core.value(net)
-    }
-
-    /// Flip-flops of the design, in gate order.
-    pub fn ff_gates(&self) -> &[gm_netlist::GateId] {
-        self.graph.get().ff_gates()
-    }
-
-    /// Current state of the `i`-th flip-flop (index into [`ClockedSim::ff_gates`]).
-    pub fn ff_state(&self, i: usize) -> bool {
-        self.core.ff_state(i)
-    }
-
-    /// Silently force every flip-flop (and every net) to zero, re-settle,
-    /// and rewind simulation time to 0 (see [`ClockedCore::hard_reset`]).
-    pub fn hard_reset(&mut self) {
-        self.core.hard_reset(self.graph.get());
-    }
-
-    /// Full between-traces reset (see [`ClockedCore::reset`]).
-    pub fn reset(&mut self, seed: u64) {
-        self.core.reset(self.graph.get(), seed);
-    }
-
-    /// Rewind the time base to cycle 0 keeping all state (see
-    /// [`ClockedCore::rebase_time`]).
-    pub fn rebase_time(&mut self) {
-        self.core.rebase_time();
-    }
-
-    /// Silently drive a primary input (initial condition, no power).
-    pub fn set_input_silent(&mut self, net: NetId, value: bool) {
-        self.core.sim_mut().set_initial(net, value);
-    }
-
-    /// Silently re-settle combinational logic from current values.
-    pub fn settle_silent(&mut self) {
-        let graph = self.graph.get();
-        self.core.sim_mut().settle_silent(graph);
-    }
-
-    /// Advance one clock cycle (see [`ClockedCore::step`]).
-    pub fn step(&mut self, stimuli: &[Stimulus], sink: &mut impl PowerSink) {
-        self.core.step(self.graph.get(), self.delays, stimuli, sink);
-    }
-
-    /// Run `n` stimulus-free cycles.
-    pub fn idle(&mut self, n: u64, sink: &mut impl PowerSink) {
-        self.core.idle(self.graph.get(), self.delays, n, sink);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::power::{CountingSink, NullSink};
+    use gm_netlist::Netlist;
 
     /// A 3-bit ripple of DFFs shifting a pulse through.
     #[test]
@@ -327,15 +230,18 @@ mod tests {
         n.output("q2", q2);
 
         let delays = DelayModel::nominal(&n);
-        let mut cs = ClockedSim::new(&n, &delays, 100_000, 0);
+        let g = SimGraph::new(&n);
+        let mut cs = ClockedCore::new(&g, 100_000, 0);
         // Cycle 0: din rises early in the cycle.
-        cs.step(&[Stimulus { net: din, offset_ps: 1_000, value: true }], &mut NullSink);
-        cs.step(&[Stimulus { net: din, offset_ps: 1_000, value: false }], &mut NullSink);
+        let rise = [Stimulus { net: din, offset_ps: 1_000, value: true }];
+        let fall = [Stimulus { net: din, offset_ps: 1_000, value: false }];
+        cs.step(&g, &delays, &rise, &mut NullSink);
+        cs.step(&g, &delays, &fall, &mut NullSink);
         assert!(cs.value(q0), "pulse in q0 after capture");
-        cs.step(&[], &mut NullSink);
+        cs.step(&g, &delays, &[], &mut NullSink);
         assert!(cs.value(q1));
         assert!(!cs.value(q0));
-        cs.step(&[], &mut NullSink);
+        cs.step(&g, &delays, &[], &mut NullSink);
         assert!(cs.value(q2));
     }
 
@@ -348,14 +254,16 @@ mod tests {
         let q = n.dff_en(d, en);
         n.output("q", q);
         let delays = DelayModel::nominal(&n);
-        let mut cs = ClockedSim::new(&n, &delays, 100_000, 0);
-        cs.set_input_silent(d, true);
-        cs.settle_silent();
-        cs.step(&[], &mut NullSink); // en = 0
+        let g = SimGraph::new(&n);
+        let mut cs = ClockedCore::new(&g, 100_000, 0);
+        cs.sim_mut().set_initial(d, true);
+        cs.sim_mut().settle_silent(&g);
+        cs.step(&g, &delays, &[], &mut NullSink); // en = 0
         assert!(!cs.value(q));
-        cs.step(&[Stimulus { net: en, offset_ps: 500, value: true }], &mut NullSink);
+        let en_rise = [Stimulus { net: en, offset_ps: 500, value: true }];
+        cs.step(&g, &delays, &en_rise, &mut NullSink);
         assert!(!cs.value(q), "enable arrived after the edge");
-        cs.step(&[], &mut NullSink);
+        cs.step(&g, &delays, &[], &mut NullSink);
         assert!(cs.value(q), "sampled at the following edge");
     }
 
@@ -368,15 +276,16 @@ mod tests {
         let y = n.inv(q);
         n.output("y", y);
         let delays = DelayModel::nominal(&n);
-        let mut cs = ClockedSim::new(&n, &delays, 100_000, 0);
+        let g = SimGraph::new(&n);
+        let mut cs = ClockedCore::new(&g, 100_000, 0);
         let mut c = CountingSink::default();
-        cs.step(&[Stimulus { net: din, offset_ps: 100, value: true }], &mut c);
+        cs.step(&g, &delays, &[Stimulus { net: din, offset_ps: 100, value: true }], &mut c);
         let after_first = c.count; // din toggled only
         assert_eq!(after_first, 1);
-        cs.step(&[], &mut c);
+        cs.step(&g, &delays, &[], &mut c);
         // q rises, y falls: two more transitions.
         assert_eq!(c.count, 3);
-        cs.step(&[], &mut c);
+        cs.step(&g, &delays, &[], &mut c);
         assert_eq!(c.count, 3, "steady state is quiet");
     }
 
@@ -387,11 +296,12 @@ mod tests {
         let q = n.dff(din);
         n.output("q", q);
         let delays = DelayModel::nominal(&n);
-        let mut cs = ClockedSim::new(&n, &delays, 50_000, 0);
-        cs.step(&[Stimulus { net: din, offset_ps: 10, value: true }], &mut NullSink);
-        cs.step(&[], &mut NullSink);
+        let g = SimGraph::new(&n);
+        let mut cs = ClockedCore::new(&g, 50_000, 0);
+        cs.step(&g, &delays, &[Stimulus { net: din, offset_ps: 10, value: true }], &mut NullSink);
+        cs.step(&g, &delays, &[], &mut NullSink);
         assert!(cs.value(q));
-        cs.hard_reset();
+        cs.hard_reset(&g);
         assert!(!cs.value(q));
         assert!(!cs.ff_state(0));
     }

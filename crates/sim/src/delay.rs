@@ -232,48 +232,7 @@ impl DelayModel {
             tile.d[j] = (base + q * sigma).max(1.0) as i64 as u64;
         }
     }
-
-    /// Batched [`DelayModel::sample_event_ps`] over one trace salt and
-    /// up to 8 distinct `(gate, ordinal)` keys — the dynamic engine's
-    /// burst draw when one popped event toggles several fan-out gates.
-    /// Elements past `n` are untouched. Bit-identical to the scalar
-    /// sampler, per key (same stage arithmetic as
-    /// [`DelayModel::sample_event_tile`]).
-    pub fn sample_event_ps_x8(
-        &self,
-        salt: u64,
-        gates: &[u32; WIDE],
-        ords: &[u32; WIDE],
-        n: usize,
-        out: &mut [u64; WIDE],
-    ) {
-        debug_assert!(n <= WIDE);
-        if self.jitter_sigma_ps <= 0.0 {
-            for i in 0..n {
-                out[i] = self.base_fixed_ps[gates[i] as usize];
-            }
-            return;
-        }
-        let mut h8 = [0u64; WIDE];
-        for i in 0..WIDE {
-            let idx =
-                ((gates[i] as u64) << 32 | ords[i] as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            let mut z = salt ^ idx;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            h8[i] = z ^ (z >> 31);
-        }
-        let sigma = self.jitter_sigma_ps;
-        for i in 0..n {
-            let q = quantized_gaussian(h8[i]);
-            out[i] = (self.base_ps[gates[i] as usize] + q * sigma).max(1.0) as u64;
-        }
-    }
 }
-
-/// Lane width of the dynamic engine's burst draw
-/// ([`DelayModel::sample_event_ps_x8`]).
-pub const WIDE: usize = 8;
 
 /// Tile width of the staged batch sampler
 /// ([`DelayModel::sample_event_tile`]): one draw per sweep lane.
@@ -653,31 +612,6 @@ mod tests {
                 m.sample_event_tile(GateId(1), TILE, &mut tile);
                 for j in 0..TILE {
                     assert_eq!(tile.d[j], m.sample_event_ps(GateId(1), tile.salt[j], tile.ord[j]));
-                }
-            }
-        }
-    }
-
-    /// The burst variant (one salt, 8 distinct keys) must also match the
-    /// scalar sampler bit-for-bit, including short bursts.
-    #[test]
-    fn sample_event_ps_x8_matches_scalar_sampler() {
-        let n = tiny();
-        for sigma in [400.0, 0.0] {
-            let m = DelayModel::with_variation(&n, 0.85, sigma, 7);
-            for (salt, start) in [(0xdead_beef_u64, 0u32), (42, 1000)] {
-                let gates = [0u32, 1, 0, 1, 0, 1, 0, 1];
-                let ords: [u32; WIDE] = std::array::from_fn(|i| start + i as u32);
-                for nb in [3usize, WIDE] {
-                    let mut out = [0u64; WIDE];
-                    m.sample_event_ps_x8(salt, &gates, &ords, nb, &mut out);
-                    for i in 0..nb {
-                        assert_eq!(
-                            out[i],
-                            m.sample_event_ps(GateId(gates[i]), salt, ords[i]),
-                            "sigma {sigma} burst {nb} elem {i}"
-                        );
-                    }
                 }
             }
         }

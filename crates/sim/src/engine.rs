@@ -27,10 +27,13 @@
 //!   schedule bookkeeping, the event queue (a [`TimingWheel`]), the
 //!   jitter RNG, and dirty lists that make [`SimCore::reset`] O(touched)
 //!   instead of O(netlist).
-//! * [`Simulator`] — a thin convenience wrapper binding a graph, a
-//!   [`DelayModel`] and a core, keeping the original borrow-style API.
+//!
+//! Callers build the graph once and pass `(&graph, &delays)` into every
+//! propagating [`SimCore`] call; the clocked harness
+//! ([`ClockedCore`](crate::ClockedCore)) and the sweep's divergent-lane
+//! repair ([`LaneSweep`](crate::LaneSweep)) drive it the same way.
 
-use crate::delay::{DelayModel, WIDE};
+use crate::delay::DelayModel;
 use crate::power::NullSink;
 use crate::wheel::TimingWheel;
 use gm_netlist::netlist::Driver;
@@ -76,11 +79,6 @@ struct Pending {
     /// External events carry `u32::MAX` (never cancelled).
     version: u32,
 }
-
-// Test-only pin of [`SimCore::apply`]'s fan-out loop to the scalar draw,
-// so unit tests can diff the burst path against its oracle.
-#[cfg(test)]
-thread_local!(static SCALAR_FANOUT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) });
 
 /// Immutable simulation topology shared by every [`SimCore`] over the
 /// same netlist: flat CSR adjacency, driver/weight tables, topological
@@ -273,6 +271,35 @@ impl SimGraph {
 /// self-referential lifetimes. [`SimCore::reset`] restores the settled
 /// all-zero state in O(touched) time and is bit-for-bit equivalent to
 /// constructing a fresh core with the same seed.
+///
+/// External edges (primary inputs, flip-flop outputs) are injected with
+/// [`SimCore::schedule`]; combinational propagation, including glitches,
+/// follows from the [`DelayModel`].
+///
+/// # Examples
+///
+/// A NAND whose two inputs rise at different times produces a 0-glitch:
+///
+/// ```
+/// use gm_netlist::Netlist;
+/// use gm_sim::{DelayModel, SimCore, SimGraph};
+///
+/// let mut n = Netlist::new("g");
+/// let a = n.input("a");
+/// let b = n.input("b");
+/// let inv_a = n.inv(a);           // slow path
+/// let y = n.and2(inv_a, b);       // y = !a & b
+/// n.output("y", y);
+///
+/// let graph = SimGraph::new(&n);
+/// let delays = DelayModel::nominal(&n);
+/// let mut sim = SimCore::new(&graph, 0);
+/// // a and b rise together: y should stay 0, but the inverter lags.
+/// sim.schedule(a, 1_000, true);
+/// sim.schedule(b, 1_000, true);
+/// let toggles = sim.run_counting(&graph, &delays, 10_000);
+/// assert!(toggles >= 2, "glitch pulse on y expected, saw {toggles} toggles");
+/// ```
 #[derive(Debug)]
 pub struct SimCore {
     values: Vec<bool>,
@@ -334,11 +361,8 @@ pub struct SimStats {
     /// Applied transitions on externally driven nets (primary inputs,
     /// FF outputs injected by clocked harnesses).
     pub input_transitions: Counter,
-    /// Jitter draws taken through the 8-wide burst sampler
-    /// ([`DelayModel::sample_event_ps_x8`]).
-    pub jitter_batched: Counter,
-    /// Jitter draws taken through the scalar sampler (single-consumer
-    /// fan-out, or jitter-free model).
+    /// Per-event delay draws ([`DelayModel::sample_event_ps`]), one per
+    /// toggling fan-out evaluation.
     pub jitter_scalar: Counter,
 }
 
@@ -365,7 +389,6 @@ impl SimStats {
         r.set_nonzero(&format!("{prefix}.external"), self.external.get());
         r.set_nonzero(&format!("{prefix}.resets"), self.resets.get());
         r.set_nonzero(&format!("{prefix}.toggle.input"), self.input_transitions.get());
-        r.set_nonzero(&format!("{prefix}.jitter.batched"), self.jitter_batched.get());
         r.set_nonzero(&format!("{prefix}.jitter.scalar"), self.jitter_scalar.get());
         for (name, c) in GateKind::CLASS_NAMES.iter().zip(self.kind_transitions.iter()) {
             r.set_nonzero(&format!("{prefix}.toggle.{name}"), c.get());
@@ -597,19 +620,6 @@ impl SimCore {
         sink.transition(time, NetId(p.net), p.value, graph.weights[ni]);
 
         // Re-evaluate combinational fan-out; schedule changed outputs.
-        // Multi-consumer deliveries under jitter take the burst variant,
-        // which draws all the toggling gates' delays through the 8-wide
-        // sampler; single consumers and jitter-free models keep the
-        // in-loop scalar draw, which is also the burst's test oracle
-        // (both orderings of the same bit-identical draws).
-        #[cfg(test)]
-        let scalar_only = SCALAR_FANOUT.get();
-        #[cfg(not(test))]
-        let scalar_only = false;
-        if graph.consumers.row(ni).len() >= 2 && delays.jitter_sigma_ps() > 0.0 && !scalar_only {
-            self.apply_fanout_burst(graph, delays, time, ni);
-            return;
-        }
         for &gi_u in graph.consumers.row(ni) {
             let gi = gi_u as usize;
             let mut idx = 0usize;
@@ -617,262 +627,40 @@ impl SimCore {
                 idx |= usize::from(self.values[pn as usize]) << k;
             }
             let out = graph.truth[gi] >> idx & 1 != 0;
-            if out != self.out_sched[gi] {
-                self.touch_gate(gi);
-                let ord = self.ev_ord[gi];
-                self.ev_ord[gi] = ord + 1;
-                self.stats.jitter_scalar.inc();
-                let d = delays.sample_event_ps(GateId(gi_u), self.salt, ord);
-                self.schedule_output(graph, delays, time, gi_u, out, d);
-            }
-        }
-    }
-
-    /// Burst form of the consumer loop in [`SimCore::apply`]: phase 1
-    /// evaluates the fan-out gates and collects the toggling ones with
-    /// their ordinals, phase 2 draws the whole chunk through
-    /// [`DelayModel::sample_event_ps_x8`], phase 3 replays the exact
-    /// scalar scheduling per gate. Chunks keep the consumer order, and
-    /// phase 3 runs in that order, so queue contents — time, seq,
-    /// version — are bit-identical to the scalar loop's.
-    fn apply_fanout_burst(&mut self, graph: &SimGraph, delays: &DelayModel, time: u64, ni: usize) {
-        let row = graph.consumers.row(ni);
-        let mut gates = [0u32; WIDE];
-        let mut ords = [0u32; WIDE];
-        let mut vals = [false; WIDE];
-        let mut ds = [0u64; WIDE];
-        let mut pos = 0usize;
-        while pos < row.len() {
-            let mut nb = 0usize;
-            while pos < row.len() && nb < WIDE {
-                let gi_u = row[pos];
-                pos += 1;
-                // The consumer table carries one entry per connected
-                // pin, so a gate fed twice by `ni` appears twice. The
-                // scalar loop's second visit sees `out_sched` already
-                // updated and drops out; here that update is deferred
-                // to phase 3, so the duplicate is skipped explicitly.
-                if (0..nb).any(|j| gates[j] == gi_u) {
-                    continue;
-                }
-                let gi = gi_u as usize;
-                let mut idx = 0usize;
-                for (k, &pn) in graph.pins.row(gi).iter().enumerate() {
-                    idx |= usize::from(self.values[pn as usize]) << k;
-                }
-                let out = graph.truth[gi] >> idx & 1 != 0;
-                if out != self.out_sched[gi] {
-                    self.touch_gate(gi);
-                    gates[nb] = gi_u;
-                    ords[nb] = self.ev_ord[gi];
-                    vals[nb] = out;
-                    self.ev_ord[gi] += 1;
-                    nb += 1;
-                }
-            }
-            if nb == 0 {
+            if out == self.out_sched[gi] {
                 continue;
             }
-            delays.sample_event_ps_x8(self.salt, &gates, &ords, nb, &mut ds);
-            self.stats.jitter_batched.add(nb as u64);
-            for j in 0..nb {
-                self.schedule_output(graph, delays, time, gates[j], vals[j], ds[j]);
+            self.touch_gate(gi);
+            let ord = self.ev_ord[gi];
+            self.ev_ord[gi] = ord + 1;
+            self.stats.jitter_scalar.inc();
+            let d = delays.sample_event_ps(GateId(gi_u), self.salt, ord);
+            // A single driver's edges stay ordered even under jitter.
+            let t = (time + d).max(self.out_last_time[gi] + 1);
+            let pending = self.out_last_time[gi] > time;
+            let out_net = graph.outputs[gi];
+            if pending
+                && t.saturating_sub(self.out_last_time[gi]) < delays.pulse_reject_of(GateId(gi_u))
+            {
+                // The in-flight pulse is narrower than the switching
+                // time: annihilate it instead of delivering both edges.
+                self.stats.annihilations.inc();
+                self.out_version[gi] = self.out_version[gi].wrapping_add(1);
+                self.out_sched[gi] = self.values[out_net as usize];
+                if out == self.out_sched[gi] {
+                    continue;
+                }
             }
+            self.out_sched[gi] = out;
+            self.out_last_time[gi] = t;
+            self.seq += 1;
+            self.stats.scheduled.inc();
+            self.queue.push(
+                t,
+                self.seq,
+                Pending { net: out_net, value: out, version: self.out_version[gi] },
+            );
         }
-    }
-
-    /// Schedule one gate's output change at `time + d` — transport
-    /// ordering, inertial annihilation, version bump and queue push.
-    /// The tail both the scalar consumer loop and the burst variant
-    /// funnel into.
-    #[inline]
-    fn schedule_output(
-        &mut self,
-        graph: &SimGraph,
-        delays: &DelayModel,
-        time: u64,
-        gi_u: u32,
-        out: bool,
-        d: u64,
-    ) {
-        let gi = gi_u as usize;
-        // A single driver's edges stay ordered even under jitter.
-        let t = (time + d).max(self.out_last_time[gi] + 1);
-        let pending = self.out_last_time[gi] > time;
-        let out_net = graph.outputs[gi];
-        if pending
-            && t.saturating_sub(self.out_last_time[gi]) < delays.pulse_reject_of(GateId(gi_u))
-        {
-            // The in-flight pulse is narrower than the switching
-            // time: annihilate it instead of delivering both edges.
-            self.stats.annihilations.inc();
-            self.out_version[gi] = self.out_version[gi].wrapping_add(1);
-            self.out_sched[gi] = self.values[out_net as usize];
-            if out == self.out_sched[gi] {
-                return;
-            }
-        }
-        self.out_sched[gi] = out;
-        self.out_last_time[gi] = t;
-        self.seq += 1;
-        self.stats.scheduled.inc();
-        self.queue.push(
-            t,
-            self.seq,
-            Pending { net: out_net, value: out, version: self.out_version[gi] },
-        );
-    }
-}
-
-/// How a [`Simulator`]/[`ClockedSim`](crate::ClockedSim) holds its graph:
-/// built on the spot, or borrowed from a shared prebuilt one.
-#[derive(Debug)]
-pub(crate) enum GraphRef<'a> {
-    Owned(Box<SimGraph>),
-    Shared(&'a SimGraph),
-}
-
-impl GraphRef<'_> {
-    #[inline]
-    pub(crate) fn get(&self) -> &SimGraph {
-        match self {
-            GraphRef::Owned(g) => g,
-            GraphRef::Shared(g) => g,
-        }
-    }
-}
-
-/// Event-driven simulator over one [`Netlist`] instance.
-///
-/// External edges (primary inputs, flip-flop outputs) are injected with
-/// [`Simulator::schedule`]; combinational propagation, including glitches,
-/// follows from the [`DelayModel`].
-///
-/// For one-shot use, [`Simulator::new`] derives the topology itself. For
-/// campaigns, build a [`SimGraph`] once, share it, and recycle one
-/// simulator per worker via [`Simulator::with_graph`] +
-/// [`Simulator::reset`].
-///
-/// # Examples
-///
-/// A NAND whose two inputs rise at different times produces a 0-glitch:
-///
-/// ```
-/// use gm_netlist::Netlist;
-/// use gm_sim::{DelayModel, Simulator};
-///
-/// let mut n = Netlist::new("g");
-/// let a = n.input("a");
-/// let b = n.input("b");
-/// let inv_a = n.inv(a);           // slow path
-/// let y = n.and2(inv_a, b);       // y = !a & b
-/// n.output("y", y);
-///
-/// let delays = DelayModel::nominal(&n);
-/// let mut sim = Simulator::new(&n, &delays, 0);
-/// sim.init_all_zero();
-/// sim.set_initial(b, false);
-/// // a and b rise together: y should stay 0, but the inverter lags.
-/// sim.schedule(a, 1_000, true);
-/// sim.schedule(b, 1_000, true);
-/// let toggles = sim.run_counting(10_000);
-/// assert!(toggles >= 2, "glitch pulse on y expected, saw {toggles} toggles");
-/// ```
-pub struct Simulator<'a> {
-    delays: &'a DelayModel,
-    graph: GraphRef<'a>,
-    core: SimCore,
-}
-
-impl<'a> Simulator<'a> {
-    /// Build a simulator (deriving its own [`SimGraph`]). `seed` drives
-    /// per-event delay jitter.
-    pub fn new(netlist: &Netlist, delays: &'a DelayModel, seed: u64) -> Self {
-        let graph = Box::new(SimGraph::new(netlist));
-        let core = SimCore::new(&graph, seed);
-        Simulator { delays, graph: GraphRef::Owned(graph), core }
-    }
-
-    /// Build a simulator over a shared prebuilt [`SimGraph`].
-    pub fn with_graph(graph: &'a SimGraph, delays: &'a DelayModel, seed: u64) -> Self {
-        let core = SimCore::new(graph, seed);
-        Simulator { delays, graph: GraphRef::Shared(graph), core }
-    }
-
-    /// The simulation topology in use.
-    pub fn graph(&self) -> &SimGraph {
-        self.graph.get()
-    }
-
-    /// Full between-traces reset; bit-for-bit equivalent to a fresh
-    /// `Simulator::new` with the same seed (see [`SimCore::reset`]).
-    pub fn reset(&mut self, seed: u64) {
-        self.core.reset(self.graph.get(), seed);
-    }
-
-    /// Current simulation time (ps).
-    pub fn time(&self) -> u64 {
-        self.core.time()
-    }
-
-    /// Current value of a net.
-    pub fn value(&self, net: NetId) -> bool {
-        self.core.value(net)
-    }
-
-    /// Set a net value *silently* (no event, no power) — initial condition.
-    pub fn set_initial(&mut self, net: NetId, value: bool) {
-        self.core.set_initial(net, value);
-    }
-
-    /// Restore the settled all-zero state (see [`SimCore::init_all_zero`]).
-    pub fn init_all_zero(&mut self) {
-        self.core.init_all_zero(self.graph.get());
-    }
-
-    /// Silently settle combinational logic from the current initial values.
-    pub fn settle_silent(&mut self) {
-        self.core.settle_silent(self.graph.get());
-    }
-
-    /// Schedule an external edge on `net` at absolute time `time_ps`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when scheduling into the past.
-    pub fn schedule(&mut self, net: NetId, time_ps: u64, value: bool) {
-        self.core.schedule(net, time_ps, value);
-    }
-
-    /// Process all events up to and including `t_end_ps`, reporting every
-    /// applied transition to `sink`.
-    pub fn run_until(&mut self, t_end_ps: u64, sink: &mut impl PowerSink) {
-        self.core.run_until(self.graph.get(), self.delays, t_end_ps, sink);
-    }
-
-    /// Run until `t_end_ps` and return the raw number of applied transitions.
-    pub fn run_counting(&mut self, t_end_ps: u64) -> u64 {
-        self.core.run_counting(self.graph.get(), self.delays, t_end_ps)
-    }
-
-    /// Drain pending events and reset time to 0, keeping net values.
-    pub fn rewind_time(&mut self) {
-        self.core.rewind_time();
-    }
-
-    /// Run until the event queue is empty (the circuit is quiescent).
-    pub fn run_to_quiescence(&mut self, sink: &mut impl PowerSink) {
-        self.core.run_to_quiescence(self.graph.get(), self.delays, sink);
-    }
-
-    /// Lifetime event counters (zeros under `obs-off`).
-    pub fn stats(&self) -> &SimStats {
-        self.core.stats()
-    }
-
-    /// Export engine (and wheel) counters under `<prefix>.*`.
-    pub fn obs_report(&self, prefix: &str, r: &mut Report) {
-        self.core.obs_report(prefix, r);
     }
 }
 
@@ -890,12 +678,12 @@ mod tests {
         let y = n.and2(a, b);
         n.output("y", y);
         let delays = DelayModel::nominal(&n);
-        let mut sim = Simulator::new(&n, &delays, 0);
-        sim.init_all_zero();
+        let g = SimGraph::new(&n);
+        let mut sim = SimCore::new(&g, 0);
         sim.schedule(a, 100, true);
         sim.schedule(b, 100, true);
         let mut c = CountingSink::default();
-        sim.run_until(10_000, &mut c);
+        sim.run_until(&g, &delays, 10_000, &mut c);
         // a, b, y — three transitions, no glitches.
         assert_eq!(c.count, 3);
         assert!(sim.value(y));
@@ -916,12 +704,12 @@ mod tests {
         let y = n.xor2(p, q);
         n.output("y", y);
         let delays = DelayModel::nominal(&n);
-        let mut sim = Simulator::new(&n, &delays, 0);
-        sim.init_all_zero();
+        let g = SimGraph::new(&n);
+        let mut sim = SimCore::new(&g, 0);
         sim.schedule(a, 100, true);
         sim.schedule(b, 100, true);
         let mut c = CountingSink::default();
-        sim.run_until(20_000, &mut c);
+        sim.run_until(&g, &delays, 20_000, &mut c);
         assert!(!sim.value(y), "steady state of 1&1 ^ 1|1 is 0");
         // y must have pulsed: transitions strictly exceed the glitch-free
         // count (a, b, p, q0, q1, q = 6).
@@ -943,16 +731,16 @@ mod tests {
         n.validate().unwrap();
 
         let delays = DelayModel::with_variation(&n, 0.3, 40.0, 5);
+        let g = SimGraph::new(&n);
         let mut rng = rand::rngs::SmallRng::seed_from_u64(11);
         for trial in 0..50 {
-            let mut sim = Simulator::new(&n, &delays, trial);
-            sim.init_all_zero();
+            let mut sim = SimCore::new(&g, trial);
             let bits: Vec<bool> = (0..4).map(|_| rng.random()).collect();
             for (k, &net) in ins.iter().enumerate() {
                 // staggered arrivals to invite glitches
                 sim.schedule(net, 100 + 137 * k as u64, bits[k]);
             }
-            sim.run_until(1_000_000, &mut NullSink);
+            sim.run_until(&g, &delays, 1_000_000, &mut NullSink);
 
             let mut ev = gm_netlist::Evaluator::new(&n).unwrap();
             let want =
@@ -970,24 +758,19 @@ mod tests {
         let chain = n.delay_chain(a, 2);
         n.output("o", chain);
         let delays = DelayModel::nominal(&n);
+        let g = SimGraph::new(&n);
 
         // 10 ps pulse (<< pulse_reject_ps): dies at the first buffer.
-        let mut sim = Simulator::new(&n, &delays, 0);
-        sim.init_all_zero();
+        let mut sim = SimCore::new(&g, 0);
         sim.schedule(a, 100, true);
         sim.schedule(a, 110, false);
-        let mut c = CountingSink::default();
-        sim.run_until(100_000, &mut c);
-        assert_eq!(c.count, 2, "only the input edges themselves");
+        assert_eq!(sim.run_counting(&g, &delays, 100_000), 2, "only the input edges themselves");
 
         // 5 ns pulse (>> pulse_reject_ps): both chain nets pulse fully.
-        let mut sim = Simulator::new(&n, &delays, 0);
-        sim.init_all_zero();
+        let mut sim = SimCore::new(&g, 0);
         sim.schedule(a, 100, true);
         sim.schedule(a, 5_100, false);
-        let mut c = CountingSink::default();
-        sim.run_until(100_000, &mut c);
-        assert_eq!(c.count, 6, "a up/down + 2 nets up/down");
+        assert_eq!(sim.run_counting(&g, &delays, 100_000), 6, "a up/down + 2 nets up/down");
     }
 
     /// run_to_quiescence drains everything regardless of horizon.
@@ -998,10 +781,10 @@ mod tests {
         let chain = n.delay_chain(a, 5);
         n.output("o", chain);
         let delays = DelayModel::nominal(&n);
-        let mut sim = Simulator::new(&n, &delays, 0);
-        sim.init_all_zero();
+        let g = SimGraph::new(&n);
+        let mut sim = SimCore::new(&g, 0);
         sim.schedule(a, 1, true);
-        sim.run_to_quiescence(&mut NullSink);
+        sim.run_to_quiescence(&g, &delays, &mut NullSink);
         assert!(sim.value(chain), "edge must have traversed all 5 stages");
         assert!(sim.time() >= 5 * 1150);
     }
@@ -1015,18 +798,17 @@ mod tests {
         let buf = n.delay_buf(a);
         n.output("o", buf);
         let delays = DelayModel::nominal(&n);
-        let mut sim = Simulator::new(&n, &delays, 0);
-        sim.init_all_zero();
+        let g = SimGraph::new(&n);
+        let mut sim = SimCore::new(&g, 0);
         // 10 ps pulse: annihilated inside the DelayBuf.
         sim.schedule(a, 100, true);
         sim.schedule(a, 110, false);
         // Much later, a real edge.
         sim.schedule(a, 50_000, true);
-        let mut c = CountingSink::default();
-        sim.run_until(100_000, &mut c);
+        let toggles = sim.run_counting(&g, &delays, 100_000);
         assert!(sim.value(buf), "the real edge must arrive");
         // a: up/down/up (3) + buf: up (1).
-        assert_eq!(c.count, 4);
+        assert_eq!(toggles, 4);
     }
 
     #[test]
@@ -1036,15 +818,13 @@ mod tests {
         let y = n.buf(a);
         n.output("y", y);
         let delays = DelayModel::nominal(&n);
-        let mut sim = Simulator::new(&n, &delays, 0);
-        sim.init_all_zero();
+        let g = SimGraph::new(&n);
+        let mut sim = SimCore::new(&g, 0);
         sim.schedule(a, 100, false); // no-op: already 0
-        let mut c = CountingSink::default();
-        sim.run_until(10_000, &mut c);
-        assert_eq!(c.count, 0);
+        assert_eq!(sim.run_counting(&g, &delays, 10_000), 0);
     }
 
-    /// reset() brings a dirtied simulator back to the exact fresh state:
+    /// reset() brings a dirtied core back to the exact fresh state:
     /// replaying the same stimuli yields the identical transition stream.
     #[test]
     fn reset_equals_fresh() {
@@ -1057,8 +837,9 @@ mod tests {
         n.output("o", inv);
         n.validate().unwrap();
         let delays = DelayModel::with_variation(&n, 0.4, 60.0, 9);
+        let g = SimGraph::new(&n);
 
-        let record = |sim: &mut Simulator| {
+        let record = |sim: &mut SimCore| {
             let mut rec = Vec::new();
             struct R<'v>(&'v mut Vec<(u64, u32, bool)>);
             impl PowerSink for R<'_> {
@@ -1069,73 +850,20 @@ mod tests {
             sim.schedule(a, 500, true);
             sim.schedule(b, 900, true);
             sim.schedule(a, 30_000, false);
-            sim.run_until(60_000, &mut R(&mut rec));
+            sim.run_until(&g, &delays, 60_000, &mut R(&mut rec));
             rec
         };
 
-        let mut fresh = Simulator::new(&n, &delays, 42);
-        fresh.init_all_zero();
+        let mut fresh = SimCore::new(&g, 42);
         let want = record(&mut fresh);
 
-        // Dirty a simulator with a different seed/stimuli, then reset.
-        let mut reused = Simulator::new(&n, &delays, 7);
-        reused.init_all_zero();
+        // Dirty a core with a different seed/stimuli, then reset.
+        let mut reused = SimCore::new(&g, 7);
         reused.schedule(b, 100, true);
-        reused.run_until(900_000, &mut NullSink);
-        reused.reset(42);
+        reused.run_until(&g, &delays, 900_000, &mut NullSink);
+        reused.reset(&g, 42);
         let got = record(&mut reused);
         assert_eq!(got, want, "reset must reproduce the fresh stream");
-    }
-
-    /// The burst consumer loop must reproduce the scalar loop's
-    /// transition stream exactly — same nets, times and order — on a
-    /// fan-out-heavy netlist with annihilation-width jitter.
-    #[test]
-    fn burst_fanout_matches_scalar() {
-        let mut n = Netlist::new("t");
-        let a = n.input("a");
-        let b = n.input("b");
-        // One net (a) fans out to many consumers so bursts exceed one
-        // chunk; xor tree keeps everything toggling.
-        let mut accs = Vec::new();
-        for k in 0..10 {
-            let p = if k % 2 == 0 { n.and2(a, b) } else { n.or2(a, b) };
-            accs.push(n.xor2(p, a));
-        }
-        let mut acc = accs[0];
-        for &x in &accs[1..] {
-            acc = n.xor2(acc, x);
-        }
-        n.output("o", acc);
-        n.validate().unwrap();
-        let delays = DelayModel::with_variation(&n, 0.6, 300.0, 0x77);
-
-        let record = |scalar_only: bool, seed: u64| {
-            SCALAR_FANOUT.set(scalar_only);
-            let mut rec: Vec<(u64, u32, bool)> = Vec::new();
-            struct R<'v>(&'v mut Vec<(u64, u32, bool)>);
-            impl PowerSink for R<'_> {
-                fn transition(&mut self, t: u64, net: NetId, v: bool, _w: f64) {
-                    self.0.push((t, net.0, v));
-                }
-            }
-            let mut sim = Simulator::new(&n, &delays, seed);
-            sim.init_all_zero();
-            sim.schedule(a, 1_000, true);
-            sim.schedule(b, 1_100, true);
-            sim.schedule(a, 9_000, false);
-            sim.run_until(200_000, &mut R(&mut rec));
-            SCALAR_FANOUT.set(false);
-            #[cfg(not(feature = "obs-off"))]
-            assert_eq!(sim.stats().jitter_batched.get() > 0, !scalar_only, "burst follows the pin");
-            rec
-        };
-        for seed in 0..16u64 {
-            let wide = record(false, seed);
-            let scalar = record(true, seed);
-            assert_eq!(wide, scalar, "seed {seed}: burst and scalar streams must be identical");
-            assert!(wide.len() > 6, "seed {seed}: fan-out must actually glitch");
-        }
     }
 
     /// The engine counters reconcile: every popped event is applied,
@@ -1154,12 +882,12 @@ mod tests {
         let y = n.xor2(p, q);
         n.output("y", y);
         let delays = DelayModel::nominal(&n);
-        let mut sim = Simulator::new(&n, &delays, 3);
-        sim.init_all_zero();
+        let g = SimGraph::new(&n);
+        let mut sim = SimCore::new(&g, 3);
         sim.schedule(a, 100, true);
         sim.schedule(b, 100, true);
         let mut c = CountingSink::default();
-        sim.run_until(50_000, &mut c);
+        sim.run_until(&g, &delays, 50_000, &mut c);
 
         let s = sim.stats();
         assert_eq!(s.external.get(), 2);
@@ -1177,27 +905,5 @@ mod tests {
         sim.obs_report("sim", &mut r);
         assert_eq!(r.get("sim.transitions"), Some(s.transitions.get()));
         assert!(r.get("sim.wheel.push_drain").is_some() || r.get("sim.wheel.push_ring").is_some());
-    }
-
-    /// A shared SimGraph behaves identically to a privately built one.
-    #[test]
-    fn with_graph_matches_new() {
-        let mut n = Netlist::new("t");
-        let a = n.input("a");
-        let chain = n.delay_chain(a, 3);
-        let inv = n.inv(chain);
-        n.output("o", inv);
-        let delays = DelayModel::with_variation(&n, 0.2, 30.0, 3);
-        let graph = SimGraph::new(&n);
-
-        let mut s1 = Simulator::new(&n, &delays, 5);
-        let mut s2 = Simulator::with_graph(&graph, &delays, 5);
-        for sim in [&mut s1, &mut s2] {
-            sim.init_all_zero();
-            sim.schedule(a, 1_000, true);
-        }
-        assert_eq!(s1.run_counting(100_000), s2.run_counting(100_000));
-        assert_eq!(s1.value(inv), s2.value(inv));
-        assert_eq!(s1.time(), s2.time());
     }
 }

@@ -43,10 +43,10 @@ pub mod vcd;
 pub mod waveform;
 pub mod wheel;
 
-pub use clocked::{ClockedCore, ClockedSim};
+pub use clocked::ClockedCore;
 pub use coupling::{CouplingModel, CouplingSink};
-pub use delay::{DelayModel, JitterTile, TILE, WIDE};
-pub use engine::{PowerSink, SimCore, SimGraph, SimStats, Simulator};
+pub use delay::{DelayModel, JitterTile, TILE};
+pub use engine::{PowerSink, SimCore, SimGraph, SimStats};
 pub use noise::MeasurementModel;
 pub use power::{
     CountingSink, LaneBinTrace, LaneCounting, LaneEnergy, LaneSink, NullSink, PackStats, PowerTrace,

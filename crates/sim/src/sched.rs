@@ -1054,7 +1054,7 @@ impl LaneSweep {
 mod tests {
     use super::*;
     use crate::power::LaneCounting;
-    use crate::{PowerSink, SimCore, Simulator};
+    use crate::{PowerSink, SimCore};
     use gm_netlist::Netlist;
 
     /// The golden hazard circuit: y = (a & b) ^ buf(buf(a | b)).
@@ -1354,7 +1354,7 @@ mod tests {
         assert_eq!(r.get("sim.sched.passes"), Some(3));
     }
 
-    /// A compiled pass agrees with a Simulator on the same seed (the
+    /// A compiled pass agrees with a `SimCore` on the same seed (the
     /// runner shares nothing mutable with the scalar path).
     #[test]
     fn coexists_with_scalar() {
@@ -1376,10 +1376,9 @@ mod tests {
             &mut counting,
         );
         assert_eq!(div, 0);
-        let mut sim = Simulator::with_graph(&graph, &delays, 5);
-        sim.init_all_zero();
+        let mut sim = SimCore::new(&graph, 5);
         sim.schedule(ins[0], 1_000, true);
         sim.schedule(ins[1], 1_000, true);
-        assert_eq!(sim.run_counting(50_000), counting.count[0]);
+        assert_eq!(sim.run_counting(&graph, &delays, 50_000), counting.count[0]);
     }
 }

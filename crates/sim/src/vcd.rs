@@ -124,7 +124,7 @@ impl PowerSink for VcdSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DelayModel, Simulator};
+    use crate::{DelayModel, SimCore, SimGraph};
     use gm_netlist::Netlist;
 
     #[test]
@@ -152,12 +152,12 @@ mod tests {
         n.validate().unwrap();
 
         let delays = DelayModel::nominal(&n);
-        let mut sim = Simulator::new(&n, &delays, 0);
-        sim.init_all_zero();
+        let g = SimGraph::new(&n);
+        let mut sim = SimCore::new(&g, 0);
         let mut vcd = VcdSink::all_nets(&n);
         sim.schedule(a, 1_000, true);
         sim.schedule(b, 1_000, true);
-        sim.run_until(50_000, &mut vcd);
+        sim.run_until(&g, &delays, 50_000, &mut vcd);
         assert!(vcd.num_events() >= 5);
 
         let text = vcd.render("t", "1ps");
@@ -183,18 +183,18 @@ mod tests {
         let x = n.inv(a);
         n.output("x", x);
         let delays = DelayModel::nominal(&n);
-        let mut sim = Simulator::new(&n, &delays, 0);
-        sim.init_all_zero();
+        let g = SimGraph::new(&n);
+        let mut sim = SimCore::new(&g, 0);
         let mut vcd = VcdSink::new(&n, &[a], &[false]);
         sim.schedule(a, 100, true);
-        sim.run_until(10_000, &mut vcd);
+        sim.run_until(&g, &delays, 10_000, &mut vcd);
         assert_eq!(vcd.num_events(), 1, "only the watched net recorded");
 
         // clear() drops events but keeps the watch set.
         vcd.clear();
         assert_eq!(vcd.num_events(), 0);
         sim.schedule(a, 20_000, false);
-        sim.run_until(30_000, &mut vcd);
+        sim.run_until(&g, &delays, 30_000, &mut vcd);
         assert_eq!(vcd.num_events(), 1);
     }
 
@@ -205,11 +205,11 @@ mod tests {
         let x = n.inv(a);
         n.output("x", x);
         let delays = DelayModel::nominal(&n);
-        let mut sim = Simulator::new(&n, &delays, 0);
-        sim.init_all_zero();
+        let g = SimGraph::new(&n);
+        let mut sim = SimCore::new(&g, 0);
         let mut vcd = VcdSink::all_nets(&n);
         sim.schedule(a, 100, true);
-        sim.run_until(10_000, &mut vcd);
+        sim.run_until(&g, &delays, 10_000, &mut vcd);
         let mut buf = Vec::new();
         vcd.write_to(&mut buf, "t", "1ps").unwrap();
         assert_eq!(String::from_utf8(buf).unwrap(), vcd.render("t", "1ps"));

@@ -93,7 +93,7 @@ impl PowerSink for WaveformRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DelayModel, Simulator};
+    use crate::{DelayModel, SimCore, SimGraph};
     use gm_netlist::Netlist;
 
     fn record_glitchy_xor() -> (Netlist, NetId, WaveformRecorder) {
@@ -110,12 +110,12 @@ mod tests {
         n.output("y", y);
         n.validate().unwrap();
         let delays = DelayModel::nominal(&n);
-        let mut sim = Simulator::new(&n, &delays, 0);
-        sim.init_all_zero();
+        let g = SimGraph::new(&n);
+        let mut sim = SimCore::new(&g, 0);
         let mut rec = WaveformRecorder::all_zero(n.num_nets());
         sim.schedule(a, 1_000, true);
         sim.schedule(b, 1_000, true);
-        sim.run_until(50_000, &mut rec);
+        sim.run_until(&g, &delays, 50_000, &mut rec);
         (n, y, rec)
     }
 

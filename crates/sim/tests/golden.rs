@@ -8,7 +8,7 @@
 //! glitch trains moved.
 
 use gm_netlist::{NetId, Netlist};
-use gm_sim::{DelayModel, PowerSink, Simulator};
+use gm_sim::{DelayModel, PowerSink, SimCore, SimGraph};
 
 #[derive(Default)]
 struct Recorder {
@@ -37,15 +37,15 @@ fn hazard_netlist() -> (Netlist, NetId, NetId) {
 }
 
 fn run(delays: &DelayModel, n: &Netlist, a: NetId, b: NetId, seed: u64) -> Vec<(u64, u32, bool)> {
-    let mut sim = Simulator::new(n, delays, seed);
-    sim.init_all_zero();
+    let graph = SimGraph::new(n);
+    let mut sim = SimCore::new(&graph, seed);
     // Narrow skew (rejected pulse on y), then wide skew (surviving glitch).
     sim.schedule(a, 1_000, true);
     sim.schedule(b, 1_200, true);
     sim.schedule(a, 20_000, false);
     sim.schedule(b, 28_000, false);
     let mut rec = Recorder::default();
-    sim.run_until(100_000, &mut rec);
+    sim.run_until(&graph, delays, 100_000, &mut rec);
     rec.events
 }
 

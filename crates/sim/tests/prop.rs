@@ -11,7 +11,7 @@
 //!    a freshly constructed core.
 
 use gm_netlist::{NetId, Netlist};
-use gm_sim::{DelayModel, PowerSink, SimGraph, Simulator, TimingWheel};
+use gm_sim::{DelayModel, PowerSink, SimCore, SimGraph, TimingWheel};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -55,7 +55,7 @@ fn random_cone(gates: &[(u8, u8, u8)]) -> (Netlist, [NetId; 4]) {
 }
 
 /// Schedule the stimulus list on `sim` (input index, time, value).
-fn apply_stimuli(sim: &mut Simulator<'_>, inputs: &[NetId; 4], stims: &[(u8, u64, bool)]) {
+fn apply_stimuli(sim: &mut SimCore, inputs: &[NetId; 4], stims: &[(u8, u64, bool)]) {
     for &(i, t, v) in stims {
         sim.schedule(inputs[i as usize % 4], t, v);
     }
@@ -150,21 +150,19 @@ proptest! {
         let delays = DelayModel::with_variation(&n, 0.3, 60.0, seed ^ 0x5eed);
         let graph = SimGraph::new(&n);
 
-        let mut fresh = Simulator::with_graph(&graph, &delays, seed);
-        fresh.init_all_zero();
+        let mut fresh = SimCore::new(&graph, seed);
         apply_stimuli(&mut fresh, &inputs, &stims);
         let mut want = RecordingSink::default();
-        fresh.run_until(500_000, &mut want);
+        fresh.run_until(&graph, &delays, 500_000, &mut want);
 
-        let mut reused = Simulator::with_graph(&graph, &delays, seed ^ 0xbad);
-        reused.init_all_zero();
+        let mut reused = SimCore::new(&graph, seed ^ 0xbad);
         apply_stimuli(&mut reused, &inputs, &warmup);
-        reused.run_until(500_000, &mut RecordingSink::default());
+        reused.run_until(&graph, &delays, 500_000, &mut RecordingSink::default());
 
-        reused.reset(seed);
+        reused.reset(&graph, seed);
         apply_stimuli(&mut reused, &inputs, &stims);
         let mut got = RecordingSink::default();
-        reused.run_until(500_000, &mut got);
+        reused.run_until(&graph, &delays, 500_000, &mut got);
 
         prop_assert_eq!(got.0, want.0);
         for net in 0..n.num_nets() as u32 {

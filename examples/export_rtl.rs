@@ -11,7 +11,7 @@ use glitchmask::des::netlist_gen::{build_des_core, SboxStyle};
 use glitchmask::masking::gadgets::sec_and2::build_sec_and2;
 use glitchmask::masking::gadgets::AndInputs;
 use glitchmask::netlist::{to_verilog, Netlist};
-use glitchmask::sim::{DelayModel, Simulator, VcdSink};
+use glitchmask::sim::{DelayModel, SimCore, SimGraph, VcdSink};
 use std::fs;
 use std::path::Path;
 
@@ -47,15 +47,15 @@ fn main() -> std::io::Result<()> {
     n.validate().unwrap();
 
     let delays = DelayModel::nominal(&n);
-    let mut sim = Simulator::new(&n, &delays, 0);
-    sim.init_all_zero();
+    let graph = SimGraph::new(&n);
+    let mut sim = SimCore::new(&graph, 0);
     let mut vcd = VcdSink::all_nets(&n);
     // Shares of x = 1, y = 0 with y0 = y1 = 1: the leaky order ends in x0.
     sim.schedule(io.y1, 10_000, true);
     sim.schedule(io.y0, 20_000, true);
     sim.schedule(io.x1, 30_000, false); // stays 0
     sim.schedule(io.x0, 40_000, true);
-    sim.run_until(60_000, &mut vcd);
+    sim.run_until(&graph, &delays, 60_000, &mut vcd);
     let path = dir.join("secand2_x0_last.vcd");
     vcd.write_to(fs::File::create(&path)?, "secand2_glitch", "1ps")?;
     println!("glitch waveform ({} transitions) -> {}", vcd.num_events(), path.display());

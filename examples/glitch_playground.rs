@@ -12,7 +12,7 @@ use glitchmask::masking::schedule::{all_sequences, predicted_leaky, InputShare};
 use glitchmask::masking::{MaskRng, MaskedBit};
 use glitchmask::netlist::Netlist;
 use glitchmask::sim::power::CountingSink;
-use glitchmask::sim::{DelayModel, Simulator};
+use glitchmask::sim::{DelayModel, SimCore, SimGraph};
 
 fn main() {
     let mut n = Netlist::new("secand2");
@@ -24,6 +24,8 @@ fn main() {
     n.validate().unwrap();
 
     let delays = DelayModel::with_variation(&n, 0.15, 40.0, 1);
+    let graph = SimGraph::new(&n);
+    let mut sim = SimCore::new(&graph, 0);
     let net_of = |s: InputShare| match s {
         InputShare::X0 => io.x0,
         InputShare::X1 => io.x1,
@@ -50,13 +52,12 @@ fn main() {
                 InputShare::Y0 => my.s0,
                 InputShare::Y1 => my.s1,
             };
-            let mut sim = Simulator::new(&n, &delays, trial);
-            sim.init_all_zero();
+            sim.reset(&graph, trial);
             for (cycle, &s) in seq.iter().enumerate() {
                 sim.schedule(net_of(s), 10_000 + 50_000 * cycle as u64, share_val(s));
             }
             let mut c = CountingSink::default();
-            sim.run_until(300_000, &mut c);
+            sim.run_until(&graph, &delays, 300_000, &mut c);
             sums[usize::from(y)] += c.count as f64;
             counts[usize::from(y)] += 1;
         }
