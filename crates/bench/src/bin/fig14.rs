@@ -27,8 +27,8 @@ const FIXED_PLAINTEXTS: [u64; 3] = [0x0123456789ABCDEF, 0xDA39A3EE5E6B4B0D, 0x00
 
 fn main() {
     let args = Args::parse();
+    let traces = args.campaign_trace_count(40_000, 400_000);
     let mut metrics = MetricsSink::from_args("fig14", &args);
-    let traces = args.trace_count(40_000, 400_000);
     let run_all = args.panel.is_none();
     let backend = if args.scalar { "scalar reference" } else { "256-way bitsliced" };
     println!("FIG. 14 — leakage assessment, protected DES with secAND2-FF");

@@ -33,8 +33,8 @@ fn seq_string(seq: &ArrivalSequence) -> String {
 
 fn main() {
     let args = Args::parse();
+    let traces = args.campaign_trace_count(4_000, 60_000);
     let mut metrics = MetricsSink::from_args("table1", &args);
-    let traces = args.trace_count(4_000, 60_000);
     let bank = Arc::new(build_sec_and2_bank(REPLICAS));
     let delays =
         Arc::new(DelayModel::with_variation(&bank.netlist, 0.15, 40.0, args.seed ^ 0x7a51));

@@ -34,8 +34,8 @@ fn schedule_row(k: usize) -> String {
 
 fn main() {
     let args = Args::parse();
+    let traces = args.campaign_trace_count(8_000, 60_000);
     let mut metrics = MetricsSink::from_args("table2", &args);
-    let traces = args.trace_count(8_000, 60_000);
     let backend = if args.scalar { "scalar event wheel" } else { "compiled schedule" };
     println!("TABLE II — DelayUnit sequences for secAND2-PD product chains");
     println!(

@@ -1,6 +1,11 @@
 //! Minimal flag parsing shared by the experiment binaries
 //! (we avoid external CLI crates; see DESIGN.md §4.6).
 
+/// Fewest traces a claim binary lets any of its campaigns run. A t-test
+/// needs two traces in each class; with 64 traces the chance that a
+/// class gets fewer is about 7e-18.
+pub const MIN_CAMPAIGN_TRACES: u64 = 64;
+
 /// Parsed command-line arguments of an experiment binary.
 #[derive(Debug, Clone)]
 pub struct Args {
@@ -116,6 +121,19 @@ impl Args {
     pub fn trace_count(&self, quick: u64, full: u64) -> u64 {
         self.traces.unwrap_or(if self.quick { quick } else { full })
     }
+
+    /// [`Args::trace_count`] for a binary whose smallest campaign runs
+    /// that many traces. A count below [`MIN_CAMPAIGN_TRACES`] is
+    /// refused, naming the flag and the minimum, before any campaign work.
+    pub fn campaign_trace_count(&self, quick: u64, full: u64) -> u64 {
+        let traces = self.trace_count(quick, full);
+        assert!(
+            traces >= MIN_CAMPAIGN_TRACES,
+            "--traces {traces} leaves too few traces per class for a t-test; \
+             the smallest valid count is {MIN_CAMPAIGN_TRACES}"
+        );
+        traces
+    }
 }
 
 #[cfg(test)]
@@ -186,6 +204,21 @@ mod tests {
     #[should_panic(expected = "--traces takes a positive trace count")]
     fn zero_traces_panics() {
         let _ = parse("--traces 0");
+    }
+
+    #[test]
+    fn campaign_trace_count_accepts_the_minimum() {
+        let a = parse("--traces 64");
+        assert_eq!(a.campaign_trace_count(10, 100), MIN_CAMPAIGN_TRACES);
+        assert_eq!(parse("--quick").campaign_trace_count(4_000, 60_000), 4_000);
+    }
+
+    /// A campaign too small for a t-test is refused before it starts,
+    /// naming the flag and the smallest valid count.
+    #[test]
+    #[should_panic(expected = "the smallest valid count is 64")]
+    fn tiny_campaign_panics() {
+        let _ = parse("--traces 63").campaign_trace_count(10, 100);
     }
 
     /// Zero worker threads is refused while parsing, naming the flag.

@@ -6,9 +6,6 @@
 //! * [`probing`] — exhaustive *stationary* first-order probing check of a
 //!   gadget netlist: every wire's distribution must be independent of the
 //!   unshared inputs.
-//! * [`uniformity`] — exhaustive output-sharing distribution analysis:
-//!   `secAND2` stays marginally uniform but its sharing is a function of
-//!   the input sharing — the property refresh restores.
 //! * [`glitch_model`] — Monte-Carlo **glitch-extended** check: drives a
 //!   gadget netlist through the event simulator under a chosen arrival
 //!   schedule and measures whether any wire's expected *toggle count*
@@ -17,7 +14,6 @@
 pub mod deps;
 pub mod glitch_model;
 pub mod probing;
-pub mod uniformity;
 
 pub use deps::{CompositionError, MaskedExpr};
 pub use glitch_model::{glitch_probe, GlitchProbeReport};

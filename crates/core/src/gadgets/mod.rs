@@ -11,15 +11,14 @@
 //! [`sec_and2_ff`] (internal flip-flop, Fig. 2), [`sec_and2_pd`]
 //! (path-delayed inputs, Fig. 3), plus [`xor`]/[`refresh`] linear gadgets.
 //!
-//! Baselines the paper measures against: [`trichina`] (Eq. 1),
-//! [`dom`] (DOM-indep and DOM-dep), and a 3-share [`ti`] AND.
+//! Baselines the paper measures against: [`trichina`] (Eq. 1) and
+//! [`dom`] (DOM-indep and DOM-dep).
 
 pub mod dom;
 pub mod refresh;
 pub mod sec_and2;
 pub mod sec_and2_ff;
 pub mod sec_and2_pd;
-pub mod ti;
 pub mod trichina;
 pub mod xor;
 

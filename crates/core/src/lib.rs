@@ -9,8 +9,8 @@
 //! * [`gadgets`] — software models *and* netlist generators for
 //!   `secAND2` (Eq. 2), `secAND2-FF` (Fig. 2), `secAND2-PD` (Fig. 3),
 //!   masked XOR/NOT, the refresh gadget (Fig. 7), and the baselines the
-//!   paper compares against: Trichina's AND (Eq. 1), DOM-indep, DOM-dep,
-//!   and a 3-share TI AND.
+//!   paper compares against: Trichina's AND (Eq. 1), DOM-indep and
+//!   DOM-dep.
 //! * [`schedule`] — input arrival sequences (Table I) and DelayUnit
 //!   schedules (Table II).
 //! * [`compose`] — product trees (Fig. 4), product chains (Fig. 6), and

@@ -6,7 +6,6 @@ use gm_core::analysis::deps::MaskedExpr;
 use gm_core::compose::{build_product_chain_pd, build_product_tree_ff, product};
 use gm_core::gadgets::dom::{dom_dep_and, DomIndep};
 use gm_core::gadgets::sec_and2::{build_sec_and2, sec_and2};
-use gm_core::gadgets::ti::{ti_and, Shared3};
 use gm_core::gadgets::trichina::trichina_and;
 use gm_core::gadgets::AndInputs;
 use gm_core::{MaskRng, MaskedBit, MaskedWord};
@@ -30,14 +29,6 @@ proptest! {
         prop_assert_eq!(trichina_and(x, y, &mut rng).unmask(), want);
         prop_assert_eq!(DomIndep::and(x, y, &mut rng).unmask(), want);
         prop_assert_eq!(dom_dep_and(x, y, &mut rng).unmask(), want);
-    }
-
-    /// TI over 3 shares, for any sharing.
-    #[test]
-    fn ti_and_correct(xs in any::<[bool; 3]>(), ys in any::<[bool; 3]>()) {
-        let x = Shared3 { s: xs };
-        let y = Shared3 { s: ys };
-        prop_assert_eq!(ti_and(x, y).unmask(), x.unmask() & y.unmask());
     }
 
     /// Masked products of arbitrary width and sharing.

@@ -1,11 +1,11 @@
 //! # gm-des
 //!
 //! The paper's case study: the Data Encryption Standard, both as a plain
-//! reference implementation (with Triple-DES) and as two first-order
-//! masked encryption cores built from the `gm-core` gadgets:
+//! reference encryption and as two first-order masked encryption cores
+//! built from the `gm-core` gadgets:
 //!
-//! * [`mod@reference`] — byte-exact DES/TDES with the official tables and
-//!   NIST test vectors.
+//! * [`mod@reference`] — byte-exact DES encryption with the official
+//!   tables and NIST test vectors.
 //! * [`sbox`] — the paper's S-box decomposition: each of the eight S-boxes
 //!   as four 4-bit *mini S-boxes* (rows) plus a masked 4:1 MUX, with ANF
 //!   extraction (Möbius transform) verifying the structural claims of
@@ -31,4 +31,4 @@ pub mod sbox;
 pub mod tables;
 pub mod tvla_src;
 
-pub use reference::{Des, Tdes};
+pub use reference::Des;

@@ -1,4 +1,4 @@
-//! Reference (unprotected) DES and Triple-DES.
+//! Reference (unprotected) DES encryption.
 //!
 //! The classical round-based architecture the paper starts from (§IV-A):
 //! IP, sixteen Feistel rounds with the key schedule running alongside,
@@ -16,7 +16,6 @@ use crate::tables::{permute, rotl, E, FP, IP, P, PC1, PC2, SBOXES, SHIFTS};
 /// let des = Des::new(0x133457799BBCDFF1);
 /// let ct = des.encrypt_block(0x0123456789ABCDEF);
 /// assert_eq!(ct, 0x85E813540F0AB405);
-/// assert_eq!(des.decrypt_block(ct), 0x0123456789ABCDEF);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Des {
@@ -36,20 +35,10 @@ impl Des {
 
     /// Encrypt one 64-bit block.
     pub fn encrypt_block(&self, plaintext: u64) -> u64 {
-        self.crypt(plaintext, false)
-    }
-
-    /// Decrypt one 64-bit block.
-    pub fn decrypt_block(&self, ciphertext: u64) -> u64 {
-        self.crypt(ciphertext, true)
-    }
-
-    fn crypt(&self, block: u64, decrypt: bool) -> u64 {
-        let ip = permute(block, 64, &IP);
+        let ip = permute(plaintext, 64, &IP);
         let mut l = (ip >> 32) as u32;
         let mut r = (ip & 0xFFFF_FFFF) as u32;
-        for round in 0..16 {
-            let k = if decrypt { self.round_keys[15 - round] } else { self.round_keys[round] };
+        for &k in &self.round_keys {
             let new_r = l ^ f(r, k);
             l = r;
             r = new_r;
@@ -93,37 +82,6 @@ pub fn round_keys(key: u64) -> [u64; 16] {
     keys
 }
 
-/// Triple-DES (EDE, three independent keys).
-#[derive(Debug, Clone)]
-pub struct Tdes {
-    k1: Des,
-    k2: Des,
-    k3: Des,
-}
-
-impl Tdes {
-    /// Three-key EDE Triple-DES.
-    pub fn new(k1: u64, k2: u64, k3: u64) -> Self {
-        Tdes { k1: Des::new(k1), k2: Des::new(k2), k3: Des::new(k3) }
-    }
-
-    /// Two-key variant (`k3 = k1`), the common TDES deployment the paper
-    /// references as "still widely used today".
-    pub fn new_2key(k1: u64, k2: u64) -> Self {
-        Self::new(k1, k2, k1)
-    }
-
-    /// Encrypt one block: `E_{k3}(D_{k2}(E_{k1}(p)))`.
-    pub fn encrypt_block(&self, plaintext: u64) -> u64 {
-        self.k3.encrypt_block(self.k2.decrypt_block(self.k1.encrypt_block(plaintext)))
-    }
-
-    /// Decrypt one block.
-    pub fn decrypt_block(&self, ciphertext: u64) -> u64 {
-        self.k1.decrypt_block(self.k2.encrypt_block(self.k3.decrypt_block(ciphertext)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,18 +100,6 @@ mod tests {
     fn second_vector() {
         let des = Des::new(0x0E329232EA6D0D73);
         assert_eq!(des.encrypt_block(0x8787878787878787), 0x0000000000000000);
-        assert_eq!(des.decrypt_block(0), 0x8787878787878787);
-    }
-
-    #[test]
-    fn decrypt_inverts_encrypt() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        for _ in 0..64 {
-            let key: u64 = rng.random();
-            let pt: u64 = rng.random();
-            let des = Des::new(key);
-            assert_eq!(des.decrypt_block(des.encrypt_block(pt)), pt);
-        }
     }
 
     #[test]
@@ -174,30 +120,6 @@ mod tests {
         assert!(keys.iter().all(|k| *k < (1 << 48)));
         let distinct: std::collections::HashSet<_> = keys.iter().collect();
         assert_eq!(distinct.len(), 16);
-    }
-
-    #[test]
-    fn tdes_single_key_equals_des() {
-        let mut rng = SmallRng::seed_from_u64(2);
-        for _ in 0..16 {
-            let key: u64 = rng.random();
-            let pt: u64 = rng.random();
-            let tdes = Tdes::new(key, key, key);
-            assert_eq!(tdes.encrypt_block(pt), Des::new(key).encrypt_block(pt));
-        }
-    }
-
-    #[test]
-    fn tdes_roundtrip_and_2key() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let (k1, k2): (u64, u64) = (rng.random(), rng.random());
-        let t3 = Tdes::new(k1, k2, k1);
-        let t2 = Tdes::new_2key(k1, k2);
-        for _ in 0..16 {
-            let pt: u64 = rng.random();
-            assert_eq!(t3.encrypt_block(pt), t2.encrypt_block(pt));
-            assert_eq!(t2.decrypt_block(t2.encrypt_block(pt)), pt);
-        }
     }
 
     #[test]

@@ -4,20 +4,13 @@
 
 use gm_core::MaskRng;
 use gm_des::masked::{MaskedDes, MaskedDesFf, MaskedDesPd};
-use gm_des::reference::{round_keys, Des, Tdes};
+use gm_des::reference::{round_keys, Des};
 use gm_des::sbox::anf::Anf4;
 use gm_des::tables::{permute, rotl, E, FP, IP, P, PC1};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Decrypt ∘ encrypt = identity for any key/plaintext.
-    #[test]
-    fn roundtrip(key in any::<u64>(), pt in any::<u64>()) {
-        let des = Des::new(key);
-        prop_assert_eq!(des.decrypt_block(des.encrypt_block(pt)), pt);
-    }
 
     /// The complementation property E_{!k}(!p) = !E_k(p).
     #[test]
@@ -51,16 +44,6 @@ proptest! {
             Des::new(key).encrypt_block(pt),
             Des::new(flipped).encrypt_block(pt)
         );
-    }
-
-    /// TDES with all keys equal degenerates to single DES; roundtrip
-    /// holds for any key triple.
-    #[test]
-    fn tdes_properties(k1 in any::<u64>(), k2 in any::<u64>(), k3 in any::<u64>(), pt in any::<u64>()) {
-        let t = Tdes::new(k1, k2, k3);
-        prop_assert_eq!(t.decrypt_block(t.encrypt_block(pt)), pt);
-        let same = Tdes::new(k1, k1, k1);
-        prop_assert_eq!(same.encrypt_block(pt), Des::new(k1).encrypt_block(pt));
     }
 
     /// FP inverts IP on arbitrary words, and E/P/PC1 stay in range.

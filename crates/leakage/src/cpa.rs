@@ -92,20 +92,11 @@ impl Cpa {
     /// Signed, because under a Hamming-weight model the bitwise
     /// *complement* of the right key predicts `b − HW` and is perfectly
     /// anti-correlated: ranking by |ρ| would tie it with the true key.
-    /// When the leakage polarity is genuinely unknown, use
-    /// [`Cpa::peak_abs_per_hypothesis`] and expect that ambiguity.
+    /// When the leakage polarity is genuinely unknown, rank by
+    /// [`Cpa::correlation`]'s magnitude instead and expect that ambiguity.
     pub fn peak_per_hypothesis(&self) -> Vec<f64> {
         (0..self.num_hypotheses)
             .map(|k| (0..self.num_samples).map(|i| self.correlation(k, i)).fold(f64::MIN, f64::max))
-            .collect()
-    }
-
-    /// Peak |correlation| over all samples, per hypothesis.
-    pub fn peak_abs_per_hypothesis(&self) -> Vec<f64> {
-        (0..self.num_hypotheses)
-            .map(|k| {
-                (0..self.num_samples).map(|i| self.correlation(k, i).abs()).fold(0.0, f64::max)
-            })
             .collect()
     }
 
@@ -116,20 +107,6 @@ impl Cpa {
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .expect("at least one hypothesis")
-    }
-
-    /// Ratio between the best and second-best peak — a confidence
-    /// measure. Under a Hamming-weight model neighbouring keys correlate
-    /// strongly (flipping one of b bits keeps ~1−2/b of the prediction),
-    /// so even a decisive win may only reach ~1.1–1.3.
-    pub fn distinguishing_ratio(&self) -> f64 {
-        let mut peaks = self.peak_per_hypothesis();
-        peaks.sort_by(|a, b| b.total_cmp(a));
-        if peaks.len() < 2 || peaks[1] == 0.0 {
-            f64::INFINITY
-        } else {
-            peaks[0] / peaks[1]
-        }
     }
 }
 
@@ -157,10 +134,11 @@ mod tests {
         let (best, peak) = cpa.best();
         assert_eq!(best, usize::from(k_star));
         assert!(peak > 0.8, "peak {peak}");
-        assert!(cpa.distinguishing_ratio() > 1.2, "ratio {}", cpa.distinguishing_ratio());
-        // The complement key is the |rho| runner-up (anti-correlated).
-        let abs = cpa.peak_abs_per_hypothesis();
-        assert!((abs[usize::from(!k_star & 0x3F)] - peak).abs() < 0.05);
+        // The complement key is perfectly anti-correlated at the leaky
+        // sample, so only the signed peak tells it from the true key.
+        let complement = usize::from(!k_star & 0x3F);
+        assert!((cpa.correlation(complement, 1) + peak).abs() < 0.05);
+        assert!(cpa.peak_per_hypothesis()[complement] < 0.5 * peak);
     }
 
     /// Pure noise: no hypothesis stands out.

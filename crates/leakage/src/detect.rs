@@ -6,11 +6,6 @@ use crate::tvla::{Campaign, TraceSource, TvlaResult};
 /// paper's figures).
 pub const THRESHOLD: f64 = 4.5;
 
-/// Sample indices whose |t| exceeds the threshold.
-pub fn exceeding(t: &[f64]) -> Vec<usize> {
-    t.iter().enumerate().filter(|(_, v)| v.abs() > THRESHOLD).map(|(i, _)| i).collect()
-}
-
 /// Simple leak decision: any sample beyond the threshold.
 pub fn leaks(t: &[f64]) -> bool {
     t.iter().any(|v| v.abs() > THRESHOLD)
@@ -78,10 +73,11 @@ mod tests {
 
     #[test]
     fn exceeding_and_leaks() {
-        let t = vec![0.0, 5.0, -4.6, 4.4];
-        assert_eq!(exceeding(&t), vec![1, 2]);
-        assert!(leaks(&t));
+        assert!(leaks(&[0.0, 5.0, 4.4]));
+        assert!(leaks(&[0.0, -4.6]));
         assert!(!leaks(&[1.0, -2.0]));
+        // The threshold itself does not exceed.
+        assert!(!leaks(&[THRESHOLD, -THRESHOLD]));
     }
 
     #[test]

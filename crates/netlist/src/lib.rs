@@ -35,7 +35,6 @@ pub mod error;
 pub mod eval;
 pub mod gate;
 pub mod netlist;
-pub mod opt;
 pub mod stats;
 pub mod timing;
 pub mod topo;
@@ -47,6 +46,5 @@ pub use error::NetlistError;
 pub use eval::Evaluator;
 pub use gate::{DffConfig, Gate, GateId, GateKind};
 pub use netlist::{NetId, Netlist};
-pub use opt::{optimize, OptOptions, OptStats};
 pub use timing::TimingReport;
 pub use verilog::to_verilog;

@@ -138,35 +138,6 @@ proptest! {
         }
     }
 
-    /// The optimiser preserves the function of arbitrary random DAGs.
-    #[test]
-    fn optimizer_preserves_function(
-        recipes in prop::collection::vec(recipe_strategy(), 1..50),
-        num_inputs in 1usize..6,
-        stimuli in prop::collection::vec(any::<u64>(), 1..8),
-    ) {
-        use gm_netlist::{optimize, OptOptions};
-        let (n, inputs) = build(&recipes, num_inputs);
-        let (o, stats) = optimize(&n, &OptOptions::default());
-        prop_assert!(stats.gates_after <= stats.gates_before);
-        let mut ev_n = Evaluator::new(&n).unwrap();
-        let mut ev_o = Evaluator::new(&o).unwrap();
-        for bits in stimuli {
-            for (i, &net) in inputs.iter().enumerate() {
-                ev_n.set_input(net, (bits >> i) & 1 == 1);
-            }
-            for (i, &net) in o.inputs().iter().enumerate() {
-                ev_o.set_input(net, (bits >> i) & 1 == 1);
-            }
-            ev_n.settle(&n);
-            ev_o.settle(&o);
-            prop_assert_eq!(
-                ev_n.value(n.outputs()[0].1),
-                ev_o.value(o.outputs()[0].1)
-            );
-        }
-    }
-
     /// DFF pin-count bookkeeping survives arbitrary configs.
     #[test]
     fn dff_configs(d in any::<bool>(), en in any::<bool>(), rst in any::<bool>(), q0 in any::<bool>()) {

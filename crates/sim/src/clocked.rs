@@ -121,16 +121,6 @@ impl ClockedCore {
         &mut self.sim
     }
 
-    /// Silently force every flip-flop (and every net) to zero, re-settle,
-    /// and rewind simulation time to 0: a hard reset before a fresh
-    /// acquisition. Keeps both jitter streams where they are.
-    pub fn hard_reset(&mut self, graph: &SimGraph) {
-        self.ff_state.iter_mut().for_each(|s| *s = false);
-        self.sim.init_all_zero(graph);
-        self.sim.rewind_time();
-        self.cycle = 0;
-    }
-
     /// Full between-traces reset: power-on state, cycle 0 and fresh
     /// jitter streams. Bit-for-bit equivalent to replacing the core with
     /// `ClockedCore::new(graph, period_ps, seed)`.
@@ -287,23 +277,6 @@ mod tests {
         assert_eq!(c.count, 3);
         cs.step(&g, &delays, &[], &mut c);
         assert_eq!(c.count, 3, "steady state is quiet");
-    }
-
-    #[test]
-    fn hard_reset_clears_state() {
-        let mut n = Netlist::new("t");
-        let din = n.input("din");
-        let q = n.dff(din);
-        n.output("q", q);
-        let delays = DelayModel::nominal(&n);
-        let g = SimGraph::new(&n);
-        let mut cs = ClockedCore::new(&g, 50_000, 0);
-        cs.step(&g, &delays, &[Stimulus { net: din, offset_ps: 10, value: true }], &mut NullSink);
-        cs.step(&g, &delays, &[], &mut NullSink);
-        assert!(cs.value(q));
-        cs.hard_reset(&g);
-        assert!(!cs.value(q));
-        assert!(!cs.ff_state(0));
     }
 
     /// ClockedCore::reset replays the exact transition stream of a fresh

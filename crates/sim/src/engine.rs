@@ -481,15 +481,6 @@ impl SimCore {
         self.queue.clear();
     }
 
-    /// Zero every primary input and flip-flop output, then let the
-    /// combinational logic settle silently. Mirrors the paper's "reset all
-    /// registers to 0" starting condition: nets downstream of inverting
-    /// logic settle to 1, exactly as in hardware. (The settled state is
-    /// precomputed on the [`SimGraph`]; this restores it in O(touched).)
-    pub fn init_all_zero(&mut self, graph: &SimGraph) {
-        self.restore_baseline(graph);
-    }
-
     /// Full between-traces reset: the settled all-zero state, time 0 and
     /// a fresh jitter stream. Bit-for-bit equivalent to replacing the
     /// core with `SimCore::new(graph, seed)`.

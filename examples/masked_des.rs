@@ -1,5 +1,5 @@
-//! The paper's case study end-to-end: encrypt with the reference DES,
-//! the two masked cores (value-level and gate-level), and Triple-DES.
+//! The paper's case study end-to-end: encrypt with the reference DES
+//! and the two masked cores (value-level and gate-level).
 //!
 //! ```sh
 //! cargo run --release --example masked_des
@@ -8,7 +8,7 @@
 use glitchmask::des::masked::{MaskedDesFf, MaskedDesPd};
 use glitchmask::des::netlist_gen::driver::{encrypt_functional, EncryptionInputs};
 use glitchmask::des::netlist_gen::{build_des_core, SboxStyle};
-use glitchmask::des::{Des, Tdes};
+use glitchmask::des::Des;
 use glitchmask::masking::MaskRng;
 use glitchmask::netlist::{area, timing};
 
@@ -64,12 +64,6 @@ fn main() {
     let (ct_off, _) = ff.encrypt_with_cycles(pt, &mut off);
     println!("FF core, PRNG off:    {pt:016X} -> {ct_off:016X}  (still correct — but leaks!)");
     assert_eq!(ct_off, ct);
-
-    // Triple-DES, which the paper names as the reason DES still matters.
-    let tdes = Tdes::new_2key(key, 0x0E329232EA6D0D73);
-    let ct3 = tdes.encrypt_block(pt);
-    println!("2-key TDES (EDE):     {pt:016X} -> {ct3:016X}");
-    assert_eq!(tdes.decrypt_block(ct3), pt);
 
     println!("\nAll five implementations agree with the reference.");
 }

@@ -12,9 +12,9 @@
 //! * [`leakage`] — streaming TVLA (Welch t-tests of orders 1–3), SNR, and
 //!   leak detection;
 //! * [`masking`] — the paper's contribution: `secAND2`, `secAND2-FF`,
-//!   `secAND2-PD`, refresh gadgets, baselines (Trichina/DOM/TI), and
+//!   `secAND2-PD`, refresh gadgets, baselines (Trichina/DOM), and
 //!   composition rules;
-//! * [`des`] — reference DES/TDES and the two first-order masked DES cores.
+//! * [`des`] — reference DES and the two first-order masked DES cores.
 //!
 //! See `examples/quickstart.rs` for a guided tour.
 
