@@ -8,18 +8,20 @@
 //!    justification for its randomness budget.
 //! 3. **secAND2-FF reset discipline** (§II-C): evaluating back-to-back
 //!    multiplications without resetting the gadget leaks the *previous*
-//!    operation's unshared operand.
+//!    operation's unshared operand. Decided exactly by the probing
+//!    oracle over every share assignment, not sampled.
+//!
+//! The binary exits 1, after printing every ablation and writing the
+//! metrics, when any ablation prints "UNEXPECTED outcome".
 
+use gm_bench::gate::reset_ablation;
 use gm_bench::{Args, MetricsSink};
-use gm_core::gadgets::sec_and2::build_sec_and2;
-use gm_core::gadgets::AndInputs;
-use gm_core::{MaskRng, MaskedBit};
+use gm_core::analysis::probe_check;
+use gm_core::MaskRng;
 use gm_des::masked::{MaskedDes, MaskedDesFf};
 use gm_des::power::PowerModel;
 use gm_leakage::{Campaign, Class, TraceSource, TvlaResult, THRESHOLD};
-use gm_netlist::Netlist;
-use gm_sim::power::CountingSink;
-use gm_sim::{DelayModel, SimCore, SimGraph};
+use gm_sim::DelayModel;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -66,7 +68,8 @@ impl TraceSource for FfSource {
     }
 }
 
-fn ablation_refresh(metrics: &mut MetricsSink, traces: u64, seed: u64) {
+/// Returns whether the outcome is the expected one.
+fn ablation_refresh(metrics: &mut MetricsSink, traces: u64, seed: u64) -> bool {
     println!("=== ablation 1: refresh layer (§III-C) ===");
     let with = metrics.run(
         "refresh-on",
@@ -81,15 +84,17 @@ fn ablation_refresh(metrics: &mut MetricsSink, traces: u64, seed: u64) {
     let m = |r: &TvlaResult| r.max_abs_t1();
     println!("  with refresh (14 bits/round): max|t1| = {:.2}", m(&with));
     println!("  without refresh (0 bits):     max|t1| = {:.2}", m(&without));
+    let expected = m(&without) > THRESHOLD && m(&with) < THRESHOLD;
     println!(
         "  ⇒ {}\n",
-        if m(&without) > THRESHOLD && m(&with) < THRESHOLD {
+        if expected {
             "removing the refresh breaks first-order security — the 14 bits \
              per round are load-bearing, exactly as §III-C argues"
         } else {
             "UNEXPECTED outcome"
         }
     );
+    expected
 }
 
 // ----------------------------------------------------------------------
@@ -143,7 +148,8 @@ impl TraceSource for ValueSource {
     }
 }
 
-fn ablation_recycling(metrics: &mut MetricsSink, traces: u64, seed: u64) {
+/// Returns whether the outcome is the expected one.
+fn ablation_recycling(metrics: &mut MetricsSink, traces: u64, seed: u64) -> bool {
     println!("=== ablation 2: randomness recycling (§VI-A) ===");
     let recycled =
         metrics.run("recycled", &Campaign::sequential(traces, seed), &ValueSource::new(true, seed));
@@ -154,103 +160,85 @@ fn ablation_recycling(metrics: &mut MetricsSink, traces: u64, seed: u64) {
     );
     println!("  14 bits/round (recycled):  max|t1| = {:.2}", recycled.max_abs_t1());
     println!("  112 bits/round (per-sbox): max|t1| = {:.2}", fresh.max_abs_t1());
+    let expected = recycled.max_abs_t1() < THRESHOLD && fresh.max_abs_t1() < THRESHOLD;
     println!(
         "  ⇒ {}\n",
-        if recycled.max_abs_t1() < THRESHOLD && fresh.max_abs_t1() < THRESHOLD {
+        if expected {
             "both configurations are first-order clean: recycling the 14 bits \
              across S-boxes costs nothing, as the paper claims"
         } else {
             "UNEXPECTED outcome"
         }
     );
+    expected
 }
 
 // ----------------------------------------------------------------------
 // Ablation 3: secAND2-FF reset discipline between computations.
 // ----------------------------------------------------------------------
 
-fn ablation_reset(trials: u64, seed: u64) {
+/// Decide the reset ablation exactly: every share assignment of the
+/// three operands through the event simulator on a jitter-free device.
+/// Returns whether the outcome is the expected one (flagged without
+/// reset, clean in every window with it) and the assignments run.
+fn ablation_reset(seed: u64) -> (bool, u64) {
     println!("=== ablation 3: reset between consecutive multiplications (§II-C) ===");
-    // Bare secAND2 on the event simulator. First multiplication (m, n)
-    // settles; then the second operation's a0 arrives BEFORE the fresh b
-    // shares. Without reset, a0's edge can toggle z0 by HD = n0 ⊕ n1 = n.
-    let mut n = Netlist::new("g");
-    let io =
-        AndInputs { x0: n.input("x0"), x1: n.input("x1"), y0: n.input("y0"), y1: n.input("y1") };
-    let out = build_sec_and2(&mut n, io);
-    n.output("z0", out.z0);
-    n.output("z1", out.z1);
-    n.validate().unwrap();
-    let delays = DelayModel::with_variation(&n, 0.15, 40.0, seed);
-    let graph = SimGraph::new(&n);
-    let mut sim = SimCore::new(&graph, seed);
-
+    // Bare secAND2: m·n settles, then the next operation's a0 arrives
+    // before the b shares (`gm_bench::gate::reset_ablation`).
+    let mut reports = Vec::new();
     for reset in [false, true] {
-        // E[toggles after a0 arrives | previous n].
-        let mut rng = MaskRng::new(seed ^ 0x30);
-        let mut sums = [0.0f64; 2];
-        let mut counts = [0u64; 2];
-        for t in 0..trials {
-            let n_val = rng.bit();
-            let m = MaskedBit::mask(rng.bit(), &mut rng);
-            let nn = MaskedBit::mask(n_val, &mut rng);
-            let a = MaskedBit::mask(rng.bit(), &mut rng);
-
-            sim.reset(&graph, seed ^ t);
-            // First multiplication settles.
-            sim.schedule(io.y0, 1_000, nn.s0);
-            sim.schedule(io.x0, 2_000, m.s0);
-            sim.schedule(io.x1, 3_000, m.s1);
-            sim.schedule(io.y1, 4_000, nn.s1);
-            let mut sink = CountingSink::default();
-            sim.run_until(&graph, &delays, 40_000, &mut sink);
-
-            if reset {
-                // Clear the inputs (and let the gadget settle) first.
-                for net in [io.x0, io.x1, io.y0, io.y1] {
-                    sim.schedule(net, 41_000, false);
-                }
-                sim.run_until(&graph, &delays, 80_000, &mut sink);
-            }
-
-            // Second multiplication: a0 arrives first.
-            let t0 = sim.time();
-            sim.schedule(io.x0, t0 + 1_000, a.s0);
-            let mut second = CountingSink::default();
-            sim.run_until(&graph, &delays, t0 + 30_000, &mut second);
-
-            sums[usize::from(n_val)] += second.count as f64;
-            counts[usize::from(n_val)] += 1;
-        }
-        let e0 = sums[0] / counts[0] as f64;
-        let e1 = sums[1] / counts[1] as f64;
+        let (n, schedule) = reset_ablation(reset);
+        let delays = DelayModel::with_variation(&n, 0.15, 0.0, seed);
+        let r = probe_check(&n, &schedule, &delays);
+        let last = r.windows.len() - 1;
+        let gap = r.glitch.iter().filter(|v| v.window == last).map(|v| v.gap).fold(0.0, f64::max);
         println!(
-            "  {}: E[toggles|n=0] = {e0:.3}, E[toggles|n=1] = {e1:.3}, bias = {:.3}",
+            "  {}: {} of {} windows flagged, exact toggle gap after a0 = {gap:.3}",
             if reset { "with reset   " } else { "without reset" },
-            (e0 - e1).abs()
+            (0..r.windows.len())
+                .filter(|&w| r.stationary.iter().chain(&r.glitch).any(|v| v.window == w))
+                .count(),
+            r.windows.len(),
         );
+        reports.push(r);
     }
+    let expected = !reports[0].secure() && reports[1].secure();
     println!(
-        "  ⇒ without reset, the late a0 exposes the previous operation's \
-         unshared n;\n    resetting the inputs removes the bias — the cost \
-         the paper's secAND2-PD avoids.\n"
+        "  ⇒ {}\n",
+        if expected {
+            "without reset, the late a0 exposes the previous operation's unshared n;\n    \
+             resetting the inputs removes the dependence in every window — the cost \
+             the paper's secAND2-PD avoids"
+        } else {
+            "UNEXPECTED outcome"
+        }
     );
+    (expected, reports.iter().map(|r| r.assignments).sum())
 }
 
 fn main() {
     let args = Args::parse();
     let mut metrics = MetricsSink::from_args("ablations", &args);
-    let traces = args.trace_count(8_000, 60_000);
-    ablation_refresh(&mut metrics, traces, args.seed);
-    ablation_recycling(&mut metrics, traces, args.seed ^ 0xaa);
-    let reset_trials = args.trace_count(4_000, 20_000);
+    let traces = args.campaign_trace_count(8_000, 60_000);
+    let refresh = ablation_refresh(&mut metrics, traces, args.seed);
+    let recycling = ablation_recycling(&mut metrics, traces, args.seed ^ 0xaa);
     let t0 = std::time::Instant::now();
-    ablation_reset(reset_trials, args.seed ^ 0xbb);
+    let (reset, assignments) = ablation_reset(args.seed ^ 0xbb);
     metrics.record_phase(
         "reset-discipline",
         t0.elapsed().as_secs_f64(),
-        2 * reset_trials,
+        assignments,
         gm_obs::Report::new(),
     );
     metrics.finish().expect("write metrics");
+    let missed: Vec<&str> =
+        [(refresh, "1 (refresh)"), (recycling, "2 (recycling)"), (reset, "3 (reset)")]
+            .into_iter()
+            .filter(|&(held, _)| !held)
+            .map(|(_, name)| name)
+            .collect();
+    if !missed.is_empty() {
+        eprintln!("ablations: unexpected outcome in ablation {}", missed.join(", "));
+        std::process::exit(1);
+    }
 }

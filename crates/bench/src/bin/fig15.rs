@@ -21,7 +21,7 @@ const SIZES: [usize; 6] = [1, 2, 3, 5, 7, 10];
 fn main() {
     let args = Args::parse();
     let mut metrics = MetricsSink::from_args("fig15", &args);
-    let per_version = args.trace_count(2_000, 8_000);
+    let per_version = args.campaign_trace_count(2_000, 8_000);
     let backend = if args.scalar { "scalar reference" } else { "256-way bitsliced" };
     println!("FIG. 15 — DelayUnit-size sweep, protected DES with secAND2-PD");
     println!(

@@ -58,14 +58,14 @@ fn main() {
     let mut metrics = MetricsSink::from_args("fig17", &args);
     let run_all = args.panel.is_none();
     if args.gate_level {
-        let traces = args.trace_count(2_000, 30_000);
+        let traces = args.campaign_trace_count(2_000, 30_000);
         println!("FIG. 17 (gate level) — protected DES with secAND2-PD (10-LUT units)");
         println!("(campaign: {traces} traces; threshold ±4.5)\n");
         gate_level_panels(&args, &mut metrics, traces);
         metrics.finish().expect("write metrics");
         return;
     }
-    let traces = args.trace_count(40_000, 400_000);
+    let traces = args.campaign_trace_count(40_000, 400_000);
     let backend = if args.scalar { "scalar reference" } else { "256-way bitsliced" };
     println!("FIG. 17 — leakage assessment, protected DES with secAND2-PD (10-LUT units)");
     println!("(campaign: {traces} traces ≙ the paper's 50M; threshold ±4.5; {backend} backend)\n");

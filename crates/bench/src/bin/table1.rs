@@ -11,14 +11,17 @@
 //! Power comes from the event-driven gate-level simulation — glitch
 //! energy arises from timing alone; acquisition goes through the shared
 //! [`gm_bench::gate`] sources and the persistent-worker campaign pool.
-//! The analytic rule (`gm_core::schedule::predicted_leaky`) and a
-//! Monte-Carlo glitch-extended probe cross-check every row. The binary
-//! exits 1, after printing the table and writing the CSV, when any
-//! order's measured verdict disagrees with the analytic rule.
+//! Every row is also decided by the exact probing oracle
+//! (`gm_core::analysis::probe_check`), which enumerates all 16 share
+//! assignments on the campaign's own device with its jitter set to 0;
+//! its "exact-gap" column is the largest class gap in mean toggle count.
+//! The binary exits 1, after printing the table and writing the CSV,
+//! when any order's measured or exact verdict disagrees with the
+//! analytic rule (`gm_core::schedule::predicted_leaky`).
 
-use gm_bench::gate::{build_sec_and2_bank, sequence_plan, SequenceSource};
+use gm_bench::gate::{build_sec_and2_bank, sequence_arrivals, SequenceSource};
 use gm_bench::{Args, MetricsSink};
-use gm_core::analysis::glitch_probe;
+use gm_core::analysis::probe_check;
 use gm_core::schedule::{all_sequences, predicted_leaky, ArrivalSequence};
 use gm_leakage::{leaks, report, Campaign, THRESHOLD};
 use gm_sim::DelayModel;
@@ -38,14 +41,17 @@ fn main() {
     let bank = Arc::new(build_sec_and2_bank(REPLICAS));
     let delays =
         Arc::new(DelayModel::with_variation(&bank.netlist, 0.15, 40.0, args.seed ^ 0x7a51));
+    // The same device without per-event jitter, for the exact oracle.
+    let fixed = DelayModel::with_variation(&bank.netlist, 0.15, 0.0, args.seed ^ 0x7a51);
 
     let backend = if args.scalar { "scalar event wheel" } else { "compiled schedule" };
     println!("TABLE I — secAND2 arrival-sequence leakage ({traces} traces/sequence, {REPLICAS} replicas, {backend})");
     println!();
-    println!("  #  sequence (cycle 1..4)   max|t1|  leaks  glitch-bias  predicted  agree");
-    println!("  -- ----------------------  -------  -----  -----------  ---------  -----");
+    println!("  #  sequence (cycle 1..4)   max|t1|  leaks  exact-gap  predicted  agree");
+    println!("  -- ----------------------  -------  -----  ---------  ---------  -----");
 
     let mut mismatches = Vec::new();
+    let mut exact_mismatches = Vec::new();
     let mut rows = Vec::new();
     for (i, seq) in all_sequences().into_iter().enumerate() {
         let src = if args.scalar {
@@ -62,39 +68,41 @@ fn main() {
         let measured_leak = leaks(&t1);
         let max_t = t1.iter().fold(0.0f64, |m, t| m.max(t.abs()));
 
-        // Independent cross-check: Monte-Carlo glitch-extended probing.
-        let arrivals = sequence_plan(&bank, &seq);
-        let probe = glitch_probe(
-            &bank.netlist,
-            &[(bank.x0, bank.x1), (bank.y0, bank.y1)],
-            &arrivals,
-            2_000,
-            40.0,
-            args.seed ^ 0x51eb,
-        );
+        // Exact decision: every share assignment on the jitter-free device.
+        let exact = probe_check(&bank.netlist, &sequence_arrivals(&bank, &seq), &fixed);
 
         let predicted = predicted_leaky(&seq);
+        let name = || format!("#{} ({})", i + 1, seq_string(&seq).trim_start());
         let agree = measured_leak == predicted;
         if !agree {
-            mismatches.push(format!("#{} ({})", i + 1, seq_string(&seq).trim_start()));
+            mismatches.push(name());
+        }
+        let exact_agree = exact.secure() != predicted;
+        if !exact_agree {
+            exact_mismatches.push(name());
         }
         println!(
-            "  {:>2}  {}  {:>7.2}  {:>5}  {:>11.3}  {:>9}  {}",
+            "  {:>2}  {}  {:>7.2}  {:>5}  {:>9.3}  {:>9}  {}",
             i + 1,
             seq_string(&seq),
             max_t,
             if measured_leak { "YES" } else { "no" },
-            probe.max_bias,
+            exact.max_glitch_gap(),
             if predicted { "YES" } else { "no" },
-            if agree { "  ok" } else { "  ** MISMATCH **" },
+            match (agree, exact_agree) {
+                (true, true) => "  ok",
+                (false, _) => "  ** MISMATCH **",
+                (true, false) => "  ** EXACT MISMATCH **",
+            },
         );
         rows.push((seq, max_t, measured_leak, predicted));
     }
 
     println!();
     println!(
-        "Agreement with the paper's rule (leaks ⇔ x0/x1 last): {}/24",
-        rows.len() - mismatches.len()
+        "Agreement with the paper's rule (leaks ⇔ x0/x1 last): {}/24 measured, {}/24 exact",
+        rows.len() - mismatches.len(),
+        rows.len() - exact_mismatches.len()
     );
     println!("Paper's Table I: sequences ending in x0/x1 leak; ending in y0/y1 do not.");
     println!("TVLA threshold ±{THRESHOLD}.");
@@ -112,11 +120,12 @@ fn main() {
     .expect("write CSV");
     println!("CSV written to {path}");
     metrics.finish().expect("write metrics");
-    if !mismatches.is_empty() {
+    if !mismatches.is_empty() || !exact_mismatches.is_empty() {
         eprintln!(
-            "table1: {} arrival order(s) disagree with the predicted leaky/safe verdict: {}",
-            mismatches.len(),
-            mismatches.join(", ")
+            "table1: arrival orders whose verdict disagrees with the predicted leaky/safe one: \
+             measured [{}], exact [{}]",
+            mismatches.join(", "),
+            exact_mismatches.join(", ")
         );
         std::process::exit(1);
     }

@@ -6,8 +6,12 @@
 //! the sequence with a fixed-vs-random TVLA on the event-driven
 //! simulation — plus an ablation with a deliberately wrong sequence
 //! (an `x` share arriving last, Table I's leaky pattern), which must
-//! leak. The binary exits 1, after printing the table and writing the
-//! metrics, when any row's measured verdict disagrees with the expected
+//! leak. Each row is also decided by the exact probing oracle
+//! (`gm_core::analysis::probe_check`) on the row's own bank and device,
+//! with its jitter set to 0: every share assignment runs once, and the
+//! "exact" column is the largest class gap in mean toggle count. The
+//! binary exits 1, after printing the table and writing the metrics,
+//! when any row's measured or exact verdict disagrees with the expected
 //! one, naming those rows.
 //!
 //! The chain banks and their trace source live in [`gm_bench::gate`]
@@ -17,6 +21,7 @@
 
 use gm_bench::gate::{build_chain_bank, ChainSource, CHAIN_REPLICAS, CHAIN_UNIT_LUTS};
 use gm_bench::{Args, MetricsSink};
+use gm_core::analysis::probe_check;
 use gm_core::schedule::chain_delay_schedule;
 use gm_leakage::{leaks, Campaign};
 use gm_sim::DelayModel;
@@ -46,19 +51,17 @@ fn main() {
         println!("  {k} vars    {}", schedule_row(k));
     }
     println!();
-    println!("  row                      max|t1|  leaks   expected");
-    println!("  -----------------------  -------  ------  --------");
+    println!("  row                      max|t1|  leaks   exact  expected");
+    println!("  -----------------------  -------  ------  -----  --------");
 
     let mut mismatches = Vec::new();
     for k in [2usize, 3, 4] {
         for sabotage in [false, true] {
             let bank = Arc::new(build_chain_bank(k, sabotage));
-            let delays = Arc::new(DelayModel::with_variation(
-                &bank.netlist,
-                0.15,
-                40.0,
-                args.seed ^ (k as u64) << 4 | u64::from(sabotage),
-            ));
+            let device = args.seed ^ (k as u64) << 4 | u64::from(sabotage);
+            let delays = Arc::new(DelayModel::with_variation(&bank.netlist, 0.15, 40.0, device));
+            let fixed = DelayModel::with_variation(&bank.netlist, 0.15, 0.0, device);
+            let exact = probe_check(&bank.netlist, &bank.arrivals(), &fixed);
             let src = if args.scalar {
                 ChainSource::scalar(Arc::clone(&bank), Arc::clone(&delays), args.seed)
             } else {
@@ -75,14 +78,23 @@ fn main() {
             let leak = leaks(&t1);
             let label = if sabotage { "inverted (ablation)" } else { "Table II schedule" };
             let expected = sabotage;
+            let exact_leak = !exact.secure();
             println!(
-                "  {k} vars, {label:<19}  {max_t:>7.2}  {:>6}  {:>8}{}",
+                "  {k} vars, {label:<19}  {max_t:>7.2}  {:>6}  {:>5.3}  {:>8}{}",
                 if leak { "YES" } else { "no" },
+                exact.max_glitch_gap(),
                 if expected { "LEAK" } else { "safe" },
-                if leak == expected { "" } else { "   ** UNEXPECTED **" },
+                match (leak == expected, exact_leak == expected) {
+                    (true, true) => "",
+                    (false, _) => "   ** UNEXPECTED **",
+                    (true, false) => "   ** EXACT UNEXPECTED **",
+                },
             );
             if leak != expected {
                 mismatches.push(format!("{k} vars {label}"));
+            }
+            if exact_leak != expected {
+                mismatches.push(format!("{k} vars {label} (exact)"));
             }
         }
     }

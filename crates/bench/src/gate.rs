@@ -19,7 +19,13 @@
 //! sources ([`SequenceSource`], [`ChainSource`]) drain repairs once per
 //! pass, before their label-ordered measurement noise reads the bins;
 //! [`PdPlacementSource`] emits raw energies and drains once per block.
+//!
+//! The same banks also give the exact probing oracle
+//! ([`gm_core::analysis::probing`]) its arrival schedules:
+//! [`sequence_arrivals`] (Table I), [`ChainBank::arrivals`] (Table II)
+//! and [`reset_ablation`] (§II-C's reset discipline).
 
+use gm_core::analysis::{Arrival, Drive};
 use gm_core::compose::build_product_chain_pd_with_schedule;
 use gm_core::gadgets::sec_and2::build_sec_and2;
 use gm_core::gadgets::sec_and2_pd::{build_sec_and2_pd, PdConfig};
@@ -170,6 +176,17 @@ pub fn sequence_plan(bank: &SecAnd2Bank, seq: &[InputShare]) -> Vec<(NetId, u64)
     seq.iter()
         .enumerate()
         .map(|(cycle, &share)| (net(share), cycle as u64 * CYCLE_PS + 1_000))
+        .collect()
+}
+
+/// The oracle schedule of one arrival order on a [`SecAnd2Bank`]: the
+/// times of [`sequence_plan`], each net carrying its share
+/// ([`InputShare::drive`]).
+pub fn sequence_arrivals(bank: &SecAnd2Bank, seq: &[InputShare]) -> Vec<Arrival> {
+    sequence_plan(bank, seq)
+        .into_iter()
+        .zip(seq)
+        .map(|((net, time_ps), share)| Arrival { net, time_ps, drive: share.drive() })
         .collect()
 }
 
@@ -514,6 +531,47 @@ pub fn build_chain_bank(k: usize, sabotage: bool) -> ChainBank {
     n.validate().expect("chain validates");
     let graph = Arc::new(SimGraph::new(&n));
     ChainBank { netlist: n, graph, vars }
+}
+
+impl ChainBank {
+    /// The oracle schedule: every input share at 1 ns, as
+    /// [`ChainSource`] drives them (the DelayUnits inside the netlist
+    /// create the sequence).
+    pub fn arrivals(&self) -> Vec<Arrival> {
+        gm_core::analysis::probing::simultaneous(&self.vars, 1_000)
+    }
+}
+
+/// The §II-C reset ablation on a bare `secAND2`: a first multiplication
+/// `m·n` (shares in the safe order `n₀ m₀ m₁ n₁`, 1 ns apart), then,
+/// `reset` clearing every input to 0 at 41 ns, the next operation's `a₀`
+/// arriving first at 81 ns. Without the reset, `a₀`'s edge toggles `z₀`
+/// exactly when `n₀ ≠ n₁`, exposing the previous operand `n`.
+/// Variables: `m` = 0, `n` = 1, `a` = 2.
+pub fn reset_ablation(reset: bool) -> (Netlist, Vec<Arrival>) {
+    let mut n = Netlist::new("g");
+    let io =
+        AndInputs { x0: n.input("x0"), x1: n.input("x1"), y0: n.input("y0"), y1: n.input("y1") };
+    let out = build_sec_and2(&mut n, io);
+    n.output("z0", out.z0);
+    n.output("z1", out.z1);
+    let share =
+        |net, time_ps, var, share| Arrival { net, time_ps, drive: Drive::Share { var, share } };
+    let mut schedule = vec![
+        share(io.y0, 1_000, 1, 0),
+        share(io.x0, 2_000, 0, 0),
+        share(io.x1, 3_000, 0, 1),
+        share(io.y1, 4_000, 1, 1),
+    ];
+    if reset {
+        schedule.extend([io.x0, io.x1, io.y0, io.y1].map(|net| Arrival {
+            net,
+            time_ps: 41_000,
+            drive: Drive::Const(false),
+        }));
+    }
+    schedule.push(share(io.x0, 81_000, 2, 0));
+    (n, schedule)
 }
 
 /// Table II trace source: all input shares of one chain bank fire

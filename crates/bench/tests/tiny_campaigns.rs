@@ -1,13 +1,19 @@
-//! The claim binaries refuse a `--traces` too small for a t-test before
-//! they print anything, naming the flag and the smallest valid count,
-//! instead of panicking inside the t-test after the header.
+//! Every binary whose campaigns end in a t-test refuses a `--traces` too
+//! small for one before it prints anything, naming the flag and the
+//! smallest valid count, instead of panicking inside the t-test after
+//! the header.
 
 use gm_bench::cli::MIN_CAMPAIGN_TRACES;
 use std::process::Command;
 
 fn assert_refused(exe: &str) {
+    assert_refused_with(exe, &[]);
+}
+
+fn assert_refused_with(exe: &str, extra: &[&str]) {
     let out = Command::new(exe)
         .args(["--traces", "3"])
+        .args(extra)
         .output()
         .unwrap_or_else(|e| panic!("spawn {exe}: {e}"));
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -38,4 +44,24 @@ fn table2_refuses_tiny_campaigns() {
 #[test]
 fn table1_refuses_tiny_campaigns() {
     assert_refused(env!("CARGO_BIN_EXE_table1"));
+}
+
+#[test]
+fn fig15_refuses_tiny_campaigns() {
+    assert_refused(env!("CARGO_BIN_EXE_fig15"));
+}
+
+#[test]
+fn fig17_refuses_tiny_campaigns() {
+    assert_refused(env!("CARGO_BIN_EXE_fig17"));
+}
+
+#[test]
+fn fig17_gate_level_refuses_tiny_campaigns() {
+    assert_refused_with(env!("CARGO_BIN_EXE_fig17"), &["--gate-level"]);
+}
+
+#[test]
+fn ablations_refuses_tiny_campaigns() {
+    assert_refused(env!("CARGO_BIN_EXE_ablations"));
 }

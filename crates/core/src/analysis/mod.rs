@@ -3,18 +3,15 @@
 //! * [`deps`] — conservative share-dependency tracking over masked
 //!   expressions: flags compositions that XOR dependent sharings without
 //!   a refresh (§III-C's rule, mechanised).
-//! * [`probing`] — exhaustive *stationary* first-order probing check of a
-//!   gadget netlist: every wire's distribution must be independent of the
-//!   unshared inputs.
-//! * [`glitch_model`] — Monte-Carlo **glitch-extended** check: drives a
-//!   gadget netlist through the event simulator under a chosen arrival
-//!   schedule and measures whether any wire's expected *toggle count*
-//!   depends on unshared values. This is the mechanism behind Table I.
+//! * [`probing`] — the exact first-order probing oracle: runs every
+//!   share assignment of a gadget netlist through the event simulator
+//!   under an arrival schedule and fixed delays, and flags any wire whose
+//!   settled value (stationary) or toggle count (glitch-extended)
+//!   depends on the unshared inputs. This is the mechanism behind
+//!   Table I.
 
 pub mod deps;
-pub mod glitch_model;
 pub mod probing;
 
 pub use deps::{CompositionError, MaskedExpr};
-pub use glitch_model::{glitch_probe, GlitchProbeReport};
-pub use probing::{probe_check, ProbeReport};
+pub use probing::{probe_check, Arrival, Drive, ProbeReport, Violation};

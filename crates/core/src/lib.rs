@@ -16,8 +16,8 @@
 //! * [`compose`] — product trees (Fig. 4), product chains (Fig. 6), and
 //!   the shared-input-register form (Fig. 5).
 //! * [`analysis`] — share-dependency tracking (when must one refresh,
-//!   §III-C), exhaustive first-order probing checks, and the symbolic
-//!   glitch-extended model that predicts Table I.
+//!   §III-C) and the exact first-order probing oracle, stationary and
+//!   glitch-extended, that decides Table I.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,6 +5,8 @@
 //! Table I and encodes the analytic safety rule derived there, plus the
 //! generalised chain delay schedules of Table II.
 
+use crate::analysis::Drive;
+
 /// One of the four input shares of a 2-input masked AND gadget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InputShare {
@@ -26,6 +28,18 @@ impl InputShare {
     /// True for `x₀`/`x₁`.
     pub fn is_x(self) -> bool {
         matches!(self, InputShare::X0 | InputShare::X1)
+    }
+
+    /// What this share carries in a probing-oracle schedule
+    /// ([`crate::analysis::probing`]): `x` is variable 0, `y` variable 1.
+    pub fn drive(self) -> Drive {
+        let (var, share) = match self {
+            InputShare::X0 => (0, 0),
+            InputShare::X1 => (0, 1),
+            InputShare::Y0 => (1, 0),
+            InputShare::Y1 => (1, 1),
+        };
+        Drive::Share { var, share }
     }
 }
 

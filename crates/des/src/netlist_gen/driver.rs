@@ -205,7 +205,7 @@ impl DesDriverCore {
 
     /// Return the driver to the exact state of a freshly constructed one
     /// with the given seed: registers cleared, nets at the settled
-    /// all-zero baseline, time at 0, delay/clk-to-Q RNG streams reseeded.
+    /// all-zero baseline, time at 0, jitter salts re-derived from `seed`.
     pub fn reset(&mut self, graph: &SimGraph, seed: u64) {
         self.clocked.reset(graph, seed);
     }

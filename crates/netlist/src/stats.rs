@@ -1,17 +1,6 @@
-//! Miscellaneous netlist statistics used in reports and sanity checks.
+//! Netlist depth statistics used in reports and sanity checks.
 
-use crate::netlist::{Driver, Netlist};
-
-/// Fan-out of each net (number of gate input pins it feeds).
-pub fn fanout(n: &Netlist) -> Vec<usize> {
-    let mut fo = vec![0usize; n.num_nets()];
-    for g in n.gates() {
-        for &i in &g.inputs {
-            fo[i.index()] += 1;
-        }
-    }
-    fo
-}
+use crate::netlist::Netlist;
 
 /// Logic depth (in gate levels, delay-agnostic) of each net.
 ///
@@ -32,31 +21,10 @@ pub fn max_depth(n: &Netlist) -> Result<usize, crate::NetlistError> {
     Ok(logic_depth(n)?.into_iter().max().unwrap_or(0))
 }
 
-/// Nets that drive nothing and are not primary outputs (dangling logic).
-pub fn dangling_nets(n: &Netlist) -> Vec<crate::NetId> {
-    let fo = fanout(n);
-    let outs: std::collections::HashSet<_> = n.outputs().iter().map(|(_, o)| *o).collect();
-    (0..n.num_nets() as u32)
-        .map(crate::NetId)
-        .filter(|id| {
-            fo[id.index()] == 0 && !outs.contains(id) && !matches!(n.driver(*id), Driver::None)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::netlist::Netlist;
-
-    #[test]
-    fn fanout_counts_pins() {
-        let mut n = Netlist::new("t");
-        let a = n.input("a");
-        let x = n.and2(a, a); // a feeds two pins
-        n.output("x", x);
-        assert_eq!(fanout(&n)[a.index()], 2);
-    }
 
     #[test]
     fn depth_of_chain() {
@@ -65,17 +33,5 @@ mod tests {
         let d = n.delay_chain(a, 4);
         n.output("d", d);
         assert_eq!(max_depth(&n).unwrap(), 4);
-    }
-
-    #[test]
-    fn dangling_detected() {
-        let mut n = Netlist::new("t");
-        let a = n.input("a");
-        let used = n.inv(a);
-        let dangling = n.inv(a);
-        let y = n.buf(used);
-        n.output("y", y);
-        let d = dangling_nets(&n);
-        assert_eq!(d, vec![dangling]);
     }
 }

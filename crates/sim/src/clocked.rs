@@ -12,10 +12,8 @@
 //! [`DelayModel`] by reference on every propagating call.
 
 use crate::delay::DelayModel;
-use crate::engine::{PowerSink, SimCore, SimGraph, MAX_PINS};
+use crate::engine::{PowerSink, SimCore, SimGraph, JITTER_SALT_XOR, MAX_PINS};
 use gm_netlist::NetId;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 /// A stimulus applied during one clock cycle.
 #[derive(Debug, Clone, Copy)]
@@ -30,7 +28,7 @@ pub struct Stimulus {
 
 /// Owned clocked-simulation state over some [`SimGraph`]: an event
 /// [`SimCore`] plus register values, the cycle counter and the clk-to-Q
-/// jitter RNG. Like `SimCore`, every method takes the graph/delays by
+/// jitter salt. Like `SimCore`, every method takes the graph/delays by
 /// reference so the core can persist inside campaign workers;
 /// [`ClockedCore::reset`] restores the power-on state in O(touched).
 ///
@@ -65,7 +63,16 @@ pub struct ClockedCore {
     ff_state: Vec<bool>,
     period_ps: u64,
     cycle: u64,
-    rng: SmallRng,
+    /// Clk-to-Q jitter salt, derived from the seed like the event
+    /// core's: an FF's launch delay is drawn by
+    /// [`DelayModel::sample_event_ps`] keyed by `(salt, ff, edge)`. The
+    /// event core never draws for FF gates, so the keys cannot collide
+    /// with its combinational draws.
+    salt: u64,
+    /// Clock edges since the last reset: the clk-to-Q jitter ordinal.
+    /// Unlike `cycle` it survives [`ClockedCore::rebase_time`], so
+    /// back-to-back operations draw fresh jitter.
+    edge: u32,
     next_buf: Vec<bool>,
 }
 
@@ -80,7 +87,8 @@ impl ClockedCore {
             ff_state: vec![false; n_ff],
             period_ps,
             cycle: 0,
-            rng: SmallRng::seed_from_u64(seed ^ 0x94d0_49bb_1331_11eb),
+            salt: seed ^ JITTER_SALT_XOR,
+            edge: 0,
             next_buf: Vec::with_capacity(n_ff),
         }
     }
@@ -121,14 +129,15 @@ impl ClockedCore {
         &mut self.sim
     }
 
-    /// Full between-traces reset: power-on state, cycle 0 and fresh
-    /// jitter streams. Bit-for-bit equivalent to replacing the core with
-    /// `ClockedCore::new(graph, period_ps, seed)`.
+    /// Full between-traces reset: power-on state, cycle 0 and the
+    /// jitter salts of `seed`. Bit-for-bit equivalent to replacing the
+    /// core with `ClockedCore::new(graph, period_ps, seed)`.
     pub fn reset(&mut self, graph: &SimGraph, seed: u64) {
         self.ff_state.iter_mut().for_each(|s| *s = false);
         self.sim.reset(graph, seed);
         self.cycle = 0;
-        self.rng = SmallRng::seed_from_u64(seed ^ 0x94d0_49bb_1331_11eb);
+        self.salt = seed ^ JITTER_SALT_XOR;
+        self.edge = 0;
     }
 
     /// Rewind the time base to cycle 0 while keeping every register and
@@ -173,7 +182,7 @@ impl ClockedCore {
             let newv = self.next_buf[i];
             if newv != self.ff_state[i] {
                 self.ff_state[i] = newv;
-                let d = delays.sample_ps(gid, &mut self.rng);
+                let d = delays.sample_event_ps(gid, self.salt, self.edge);
                 self.sim.schedule(graph.output(gid), t_edge + d, newv);
             }
         }
@@ -187,6 +196,7 @@ impl ClockedCore {
         // 4. Propagate.
         self.sim.run_until(graph, delays, t_edge + self.period_ps, sink);
         self.cycle += 1;
+        self.edge += 1;
     }
 
     /// Run `n` stimulus-free cycles.
@@ -280,7 +290,7 @@ mod tests {
     }
 
     /// ClockedCore::reset replays the exact transition stream of a fresh
-    /// construction, including both jitter streams.
+    /// construction, including the clk-to-Q and combinational jitter.
     #[test]
     fn clocked_reset_equals_fresh() {
         let mut n = Netlist::new("t");

@@ -104,17 +104,6 @@ impl DelayModel {
         self.base_ps[gate.index()]
     }
 
-    /// Sample the delay of one propagation event through `gate`.
-    /// Always at least 1 ps so causality is preserved.
-    #[inline]
-    pub fn sample_ps(&self, gate: GateId, rng: &mut SmallRng) -> u64 {
-        if self.jitter_sigma_ps > 0.0 {
-            (self.base_ps[gate.index()] + gaussian(rng) * self.jitter_sigma_ps).max(1.0) as u64
-        } else {
-            self.base_fixed_ps[gate.index()]
-        }
-    }
-
     /// Sample the delay of the `ordinal`-th *toggling* evaluation of
     /// `gate` within the trace salted by `salt`.
     ///
@@ -124,10 +113,11 @@ impl DelayModel {
     /// delays even when they interleave unrelated gates differently —
     /// the property the compiled-schedule backend's wheel≡schedule
     /// equivalence rests on (see `sched`). The event engine's hot loop
-    /// calls this once per scheduled output change, so the jitter draw
-    /// is a counter hash plus one quantile-table lookup — no rejection
-    /// loop like the ziggurat (which survives for the per-trace-bin
-    /// draws of `noise::MeasurementModel`).
+    /// calls this once per scheduled output change, and
+    /// [`crate::ClockedCore`] once per FF launch (ordinal = clock edge),
+    /// so every jitter draw in the crate is a counter hash plus one
+    /// quantile-table lookup, with no rejection loop and no RNG state.
+    /// Always at least 1 ps, so causality is preserved.
     #[inline]
     pub fn sample_event_ps(&self, gate: GateId, salt: u64, ordinal: u32) -> u64 {
         let gi = gate.index();
@@ -376,77 +366,6 @@ fn inv_norm_cdf(p: f64) -> f64 {
     }
 }
 
-/// Number of ziggurat layers.
-const ZIG_LAYERS: usize = 128;
-/// Rightmost layer edge of the 128-layer normal ziggurat (Doornik).
-const ZIG_R: f64 = 3.442619855899;
-/// Area of each ziggurat block for 128 layers (Doornik).
-const ZIG_V: f64 = 9.91256303526217e-3;
-
-/// Ziggurat tables for the standard normal: layer edges `x[i]`
-/// (decreasing, `x[1] = R`, `x[128] = 0`) and the rectangle/wedge split
-/// ratios `r[i] = x[i+1] / x[i]`.
-struct ZigTables {
-    x: [f64; ZIG_LAYERS + 1],
-    r: [f64; ZIG_LAYERS],
-}
-
-fn zig_tables() -> &'static ZigTables {
-    static ZIG: std::sync::OnceLock<ZigTables> = std::sync::OnceLock::new();
-    ZIG.get_or_init(|| {
-        let mut x = [0.0f64; ZIG_LAYERS + 1];
-        let mut f = (-0.5 * ZIG_R * ZIG_R).exp();
-        x[0] = ZIG_V / f; // base block extends into the tail
-        x[1] = ZIG_R;
-        for i in 2..ZIG_LAYERS {
-            x[i] = (-2.0 * (ZIG_V / x[i - 1] + f).ln()).sqrt();
-            f = (-0.5 * x[i] * x[i]).exp();
-        }
-        let mut r = [0.0f64; ZIG_LAYERS];
-        for i in 0..ZIG_LAYERS {
-            r[i] = x[i + 1] / x[i];
-        }
-        ZigTables { x, r }
-    })
-}
-
-/// Standard normal sample via the ziggurat method (Marsaglia–Tsang,
-/// Doornik's layout): the per-propagation jitter draw is the hottest
-/// arithmetic in a campaign, and the ziggurat's common case is one
-/// uniform, one table compare and one multiply — no `ln`/`sqrt`/`cos`
-/// like the Box–Muller sampler it replaced (which survives in
-/// `noise::MeasurementModel`, where sampling is per trace bin, not per
-/// event).
-pub(crate) fn gaussian(rng: &mut SmallRng) -> f64 {
-    let t = zig_tables();
-    loop {
-        let bits = rng.random::<u64>();
-        let i = (bits & (ZIG_LAYERS as u64 - 1)) as usize;
-        // Signed uniform in [-1, 1) from the top 53 bits.
-        let u = (bits >> 11) as f64 * (2.0 / (1u64 << 53) as f64) - 1.0;
-        if u.abs() < t.r[i] {
-            return u * t.x[i]; // strictly inside the layer rectangle
-        }
-        if i == 0 {
-            // Base layer: exponential-rejection sample from the tail.
-            loop {
-                let x = rng.random::<f64>().max(f64::MIN_POSITIVE).ln() / ZIG_R;
-                let y = rng.random::<f64>().max(f64::MIN_POSITIVE).ln();
-                if -2.0 * y >= x * x {
-                    return if u < 0.0 { x - ZIG_R } else { ZIG_R - x };
-                }
-            }
-        }
-        // Wedge: accept with probability density(x) within the layer.
-        let x = u * t.x[i];
-        let f0 = (-0.5 * (t.x[i] * t.x[i] - x * x)).exp();
-        let f1 = (-0.5 * (t.x[i + 1] * t.x[i + 1] - x * x)).exp();
-        if f1 + rng.random::<f64>() * (f0 - f1) < 1.0 {
-            return x;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,20 +407,28 @@ mod tests {
     fn jitter_spreads_samples() {
         let n = tiny();
         let m = DelayModel::with_variation(&n, 0.0, 50.0, 1);
-        let mut rng = SmallRng::seed_from_u64(42);
-        let samples: Vec<u64> = (0..100).map(|_| m.sample_ps(GateId(0), &mut rng)).collect();
+        let samples: Vec<u64> = (0..100).map(|o| m.sample_event_ps(GateId(0), 42, o)).collect();
         let distinct: std::collections::HashSet<_> = samples.iter().collect();
         assert!(distinct.len() > 10, "jitter should vary the delay");
         assert!(samples.iter().all(|&d| d >= 1));
     }
 
+    /// With jitter off the batched sampler fills the tile with the
+    /// clamped fixed base, whatever the keys: the compiled sweep's
+    /// jitter-free fast path, which the exact probing oracle's devices
+    /// and the nominal golden train run.
     #[test]
     fn jitter_free_fast_path_matches_clamped_base() {
         let n = tiny();
         let m = DelayModel::with_variation(&n, 0.3, 0.0, 9);
-        let mut rng = SmallRng::seed_from_u64(0);
+        let mut tile = JitterTile::new();
+        for j in 0..TILE {
+            tile.salt[j] = j as u64 * 0x9e37_79b9;
+            tile.ord[j] = j as u32;
+        }
         for g in [GateId(0), GateId(1)] {
-            assert_eq!(m.sample_ps(g, &mut rng), m.base_ps(g).max(1.0) as u64);
+            m.sample_event_tile(g, TILE, &mut tile);
+            assert!(tile.d.iter().all(|&d| d == m.base_ps(g).max(1.0) as u64));
         }
     }
 
@@ -517,17 +444,6 @@ mod tests {
         for g in [GateId(0), GateId(1)] {
             assert_eq!(m.pulse_reject_of(g), 55);
         }
-    }
-
-    #[test]
-    fn gaussian_has_roughly_unit_moments() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let n = 20_000;
-        let xs: Vec<f64> = (0..n).map(|_| gaussian(&mut rng)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.05, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.1, "var {var}");
     }
 
     /// The per-event draw must depend only on `(gate, ordinal, salt)`:
@@ -558,8 +474,7 @@ mod tests {
         assert!(fwd.iter().all(|&d| d >= 1));
     }
 
-    /// With jitter off the event sampler is the clamped fixed base —
-    /// same fast path as `sample_ps`.
+    /// With jitter off the event sampler is the clamped fixed base.
     #[test]
     fn event_sampler_jitter_free_matches_base() {
         let n = tiny();
@@ -618,8 +533,7 @@ mod tests {
     }
 
     /// The quantized inverse-CDF sampler must reproduce normal moments
-    /// and quantiles like the ziggurat it parallels, within the
-    /// table-truncation tolerance.
+    /// and quantiles within the table-truncation tolerance.
     #[test]
     fn quantized_gaussian_matches_normal() {
         let nsamp = 200_000usize;
@@ -646,33 +560,5 @@ mod tests {
             let emp = c as f64 / nsamp as f64;
             assert!((emp - p).abs() < 0.01, "CDF({t}) = {emp}, want {p}");
         }
-    }
-
-    /// The ziggurat must reproduce the normal CDF, not just its moments —
-    /// a layer-table or wedge-acceptance bug skews quantiles long before
-    /// it moves the variance.
-    #[test]
-    fn gaussian_matches_normal_quantiles() {
-        let mut rng = SmallRng::seed_from_u64(5);
-        let n = 200_000usize;
-        let thresholds = [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0];
-        // Φ at the thresholds above.
-        let phi = [0.00135, 0.02275, 0.15866, 0.5, 0.84134, 0.97725, 0.99865];
-        let mut below = [0usize; 7];
-        let mut beyond_r = 0usize;
-        for _ in 0..n {
-            let x = gaussian(&mut rng);
-            for (c, &t) in below.iter_mut().zip(&thresholds) {
-                *c += usize::from(x < t);
-            }
-            beyond_r += usize::from(x.abs() > ZIG_R);
-        }
-        for ((&c, &p), &t) in below.iter().zip(&phi).zip(&thresholds) {
-            let emp = c as f64 / n as f64;
-            assert!((emp - p).abs() < 0.01, "CDF({t}) = {emp}, want {p}");
-        }
-        // The tail path past R must actually fire with about 2(1 − Φ(R))
-        // ≈ 5.7e-4 probability.
-        assert!(beyond_r > 20 && beyond_r < 400, "tail samples: {beyond_r}");
     }
 }

@@ -6,11 +6,12 @@
 //! ```
 
 use glitchmask::leakage::{Campaign, Class, TraceSource};
-use glitchmask::masking::analysis::probing::probe_check;
+use glitchmask::masking::analysis::probing::{probe_check, simultaneous};
 use glitchmask::masking::gadgets::sec_and2::{build_insecure_and2, build_sec_and2};
 use glitchmask::masking::gadgets::{sec_and2, AndInputs};
 use glitchmask::masking::{MaskRng, MaskedBit};
 use glitchmask::netlist::Netlist;
+use glitchmask::sim::DelayModel;
 
 fn main() {
     // --- 1. Boolean masking basics -----------------------------------
@@ -29,14 +30,21 @@ fn main() {
     );
 
     // --- 2. Probing security, checked exhaustively --------------------
+    // Every share assignment runs through the event simulator, all four
+    // shares arriving together; "stationary" asks whether any wire's
+    // settled value depends on the unshared x or y.
     let mut n = Netlist::new("demo");
     let io =
         AndInputs { x0: n.input("x0"), x1: n.input("x1"), y0: n.input("y0"), y1: n.input("y1") };
     let good = build_sec_and2(&mut n, io);
     n.output("z0", good.z0);
     n.output("z1", good.z1);
-    let report = probe_check(&n, &[(io.x0, io.x1), (io.y0, io.y1)], &[]);
-    println!("\nsecAND2 stationary first-order probing secure: {}", report.secure);
+    let report = probe_check(
+        &n,
+        &simultaneous(&[(io.x0, io.x1), (io.y0, io.y1)], 1_000),
+        &DelayModel::nominal(&n),
+    );
+    println!("\nsecAND2 stationary first-order probing secure: {}", report.stationary.is_empty());
 
     let mut n2 = Netlist::new("demo_bad");
     let io2 = AndInputs {
@@ -48,8 +56,15 @@ fn main() {
     let bad = build_insecure_and2(&mut n2, io2);
     n2.output("z0", bad.z0);
     n2.output("z1", bad.z1);
-    let report = probe_check(&n2, &[(io2.x0, io2.x1), (io2.y0, io2.y1)], &[]);
-    println!("classical masked AND probing secure: {} (its z0 = x0·y)", report.secure);
+    let report = probe_check(
+        &n2,
+        &simultaneous(&[(io2.x0, io2.x1), (io2.y0, io2.y1)], 1_000),
+        &DelayModel::nominal(&n2),
+    );
+    println!(
+        "classical masked AND probing secure: {} (its z0 = x0·y)",
+        report.stationary.is_empty()
+    );
 
     // --- 3. A two-minute TVLA ----------------------------------------
     // A toy "device" leaking its fixed-class bit into one sample.
