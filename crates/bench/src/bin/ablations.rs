@@ -20,7 +20,7 @@ use gm_core::analysis::probe_check;
 use gm_core::MaskRng;
 use gm_des::masked::{MaskedDes, MaskedDesFf};
 use gm_des::power::PowerModel;
-use gm_leakage::{Campaign, Class, TraceSource, TvlaResult, THRESHOLD};
+use gm_leakage::{Class, TraceSource, TvlaResult, THRESHOLD};
 use gm_sim::DelayModel;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -69,16 +69,16 @@ impl TraceSource for FfSource {
 }
 
 /// Returns whether the outcome is the expected one.
-fn ablation_refresh(metrics: &mut MetricsSink, traces: u64, seed: u64) -> bool {
+fn ablation_refresh(metrics: &mut MetricsSink, args: &Args, traces: u64, seed: u64) -> bool {
     println!("=== ablation 1: refresh layer (§III-C) ===");
     let with = metrics.run(
         "refresh-on",
-        &Campaign::sequential(traces, seed),
+        &args.campaign(traces, seed),
         &FfSource::new(MaskedDesFf::new(0x133457799BBCDFF1), seed),
     );
     let without = metrics.run(
         "refresh-off",
-        &Campaign::sequential(traces, seed ^ 0x10),
+        &args.campaign(traces, seed ^ 0x10),
         &FfSource::new(MaskedDesFf::without_refresh(0x133457799BBCDFF1), seed),
     );
     let m = |r: &TvlaResult| r.max_abs_t1();
@@ -149,13 +149,13 @@ impl TraceSource for ValueSource {
 }
 
 /// Returns whether the outcome is the expected one.
-fn ablation_recycling(metrics: &mut MetricsSink, traces: u64, seed: u64) -> bool {
+fn ablation_recycling(metrics: &mut MetricsSink, args: &Args, traces: u64, seed: u64) -> bool {
     println!("=== ablation 2: randomness recycling (§VI-A) ===");
     let recycled =
-        metrics.run("recycled", &Campaign::sequential(traces, seed), &ValueSource::new(true, seed));
+        metrics.run("recycled", &args.campaign(traces, seed), &ValueSource::new(true, seed));
     let fresh = metrics.run(
         "fresh-per-sbox",
-        &Campaign::sequential(traces, seed ^ 0x20),
+        &args.campaign(traces, seed ^ 0x20),
         &ValueSource::new(false, seed),
     );
     println!("  14 bits/round (recycled):  max|t1| = {:.2}", recycled.max_abs_t1());
@@ -220,8 +220,8 @@ fn main() {
     let args = Args::parse();
     let mut metrics = MetricsSink::from_args("ablations", &args);
     let traces = args.campaign_trace_count(8_000, 60_000);
-    let refresh = ablation_refresh(&mut metrics, traces, args.seed);
-    let recycling = ablation_recycling(&mut metrics, traces, args.seed ^ 0xaa);
+    let refresh = ablation_refresh(&mut metrics, &args, traces, args.seed);
+    let recycling = ablation_recycling(&mut metrics, &args, traces, args.seed ^ 0xaa);
     let t0 = std::time::Instant::now();
     let (reset, assignments) = ablation_reset(args.seed ^ 0xbb);
     metrics.record_phase(

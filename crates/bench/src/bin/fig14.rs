@@ -21,7 +21,6 @@ use gm_bench::panel::{fig14_misses, max_abs, print_panel, Fig14Panel};
 use gm_bench::{Args, MetricsSink};
 use gm_des::tvla_src::{AnyCycleSource, CoreVariant, SourceConfig};
 use gm_leakage::detect::{consistent_leaks, first_detection};
-use gm_leakage::Campaign;
 
 const FIXED_PLAINTEXTS: [u64; 3] = [0x0123456789ABCDEF, 0xDA39A3EE5E6B4B0D, 0x0000000000000000];
 
@@ -40,7 +39,7 @@ fn main() {
         let mut cfg = SourceConfig::new(CoreVariant::Ff);
         cfg.prng_on = false;
         cfg.seed = args.seed;
-        let campaign = Campaign::parallel(traces.min(50_000), args.seed);
+        let campaign = args.campaign(traces.min(50_000), args.seed);
         let det = first_detection(&campaign, &AnyCycleSource::new(cfg.clone(), args.scalar), 16);
         println!("--- panel (a): PRNG off (sanity check) ---");
         match det.traces {
@@ -53,7 +52,7 @@ fn main() {
         let src = AnyCycleSource::new(cfg, args.scalar);
         let r = metrics.run_streamed(
             "fig14a-prng-off",
-            &Campaign::parallel(12_000.min(traces), args.seed ^ 0xa),
+            &args.campaign(12_000.min(traces), args.seed ^ 0xa),
             &src,
         );
         print_panel("panel (a) t-curves @12k traces", &r, &args.out_dir, "fig14a");
@@ -72,7 +71,7 @@ fn main() {
         let src = AnyCycleSource::new(cfg, args.scalar);
         let r = metrics.run_streamed(
             &format!("fig14{panel}-pt{i}"),
-            &Campaign::parallel(traces, args.seed ^ (0xb + i as u64)),
+            &args.campaign(traces, args.seed ^ (0xb + i as u64)),
             &src,
         );
         print_panel(

@@ -14,7 +14,7 @@ use gm_bench::{Args, MetricsSink};
 use gm_des::power::order_violation_prob;
 use gm_des::tvla_src::{AnyCycleSource, CoreVariant, SourceConfig};
 use gm_leakage::detect::first_detection;
-use gm_leakage::{Campaign, THRESHOLD};
+use gm_leakage::THRESHOLD;
 
 const SIZES: [usize; 6] = [1, 2, 3, 5, 7, 10];
 
@@ -38,7 +38,7 @@ fn main() {
         let src = AnyCycleSource::new(cfg, args.scalar);
         let r = metrics.run(
             &format!("unit{unit}"),
-            &Campaign::parallel(per_version, args.seed ^ unit as u64),
+            &args.campaign(per_version, args.seed ^ unit as u64),
             &src,
         );
         let (m1, m2, _) = summary_line(&r);
@@ -55,7 +55,7 @@ fn main() {
     let mut cfg = SourceConfig::new(CoreVariant::Pd { unit_luts: 7 });
     cfg.seed = args.seed ^ 0xf;
     let det = first_detection(
-        &Campaign::parallel(big, args.seed ^ 0x15f),
+        &args.campaign(big, args.seed ^ 0x15f),
         &AnyCycleSource::new(cfg, args.scalar),
         256,
     );

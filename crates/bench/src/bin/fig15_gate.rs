@@ -14,12 +14,10 @@
 //! from pure event timing.
 //!
 //! Acquisition goes through the shared [`gm_bench::gate`] sources and
-//! the persistent-worker campaign pool: one simulator per worker, reset
-//! per trace.
+//! the campaign's chunk loop: one simulator per chunk, reset per trace.
 
 use gm_bench::gate::{build_pd_gadget, placement_bias, PdPlacementSource};
 use gm_bench::{Args, MetricsSink};
-use gm_leakage::Campaign;
 use gm_sim::DelayModel;
 use std::sync::Arc;
 use std::time::Instant;
@@ -27,7 +25,7 @@ use std::time::Instant;
 fn main() {
     let args = Args::parse();
     let mut metrics = MetricsSink::from_args("fig15_gate", &args);
-    let trials = args.trace_count(8_000, 20_000);
+    let trials = args.campaign_trace_count(8_000, 20_000);
     let placements = if args.quick { 15 } else { 30 };
     let backend = if args.scalar { "scalar event wheel" } else { "compiled schedule" };
     println!("FIG. 15 (gate level) — per-placement first-order exposure of secAND2-PD");
@@ -45,6 +43,7 @@ fn main() {
         // would drown the JSONL, so their counters are merged here.
         let t0 = Instant::now();
         let mut unit_counters = gm_obs::Report::new();
+        let phase = MetricsSink::phase_span();
         for p in 0..placements {
             let device_seed = args.seed ^ (unit as u64) << 8 ^ p as u64;
             let delays =
@@ -54,10 +53,11 @@ fn main() {
             } else {
                 PdPlacementSource::new(Arc::clone(&gadget), delays, device_seed)
             };
-            let (result, obs) = Campaign::parallel(trials, device_seed).run_observed(&src);
+            let (result, obs) = args.campaign(trials, device_seed).run_observed(&src);
             unit_counters.merge(&obs.report());
             biases.push(placement_bias(&result));
         }
+        drop(phase);
         metrics.record_phase(
             &format!("unit{unit}"),
             t0.elapsed().as_secs_f64(),

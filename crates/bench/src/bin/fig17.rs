@@ -15,13 +15,12 @@ use gm_bench::{Args, MetricsSink};
 use gm_des::power::PdLeakModel;
 use gm_des::tvla_src::{AnyCycleSource, CoreVariant, GateLevelSource, SourceConfig};
 use gm_leakage::detect::{consistent_leaks, first_detection};
-use gm_leakage::Campaign;
 
 const FIXED_PLAINTEXTS: [u64; 3] = [0x0123456789ABCDEF, 0xDA39A3EE5E6B4B0D, 0x0000000000000000];
 
 /// Gate-level cross-validation of panels a–c: the same campaigns on the
-/// event-driven netlist (coupling on), pooled across workers with one
-/// persistent simulator per worker. Traces are scaled down — the event
+/// event-driven netlist (coupling on), one simulator per campaign
+/// chunk. Traces are scaled down — the event
 /// simulation resolves the same coupling mechanism with far fewer traces
 /// than the calibrated cycle model needs.
 fn gate_level_panels(args: &Args, metrics: &mut MetricsSink, traces: u64) {
@@ -39,10 +38,7 @@ fn gate_level_panels(args: &Args, metrics: &mut MetricsSink, traces: u64) {
         cfg.fixed_pt = pt;
         cfg.seed = args.seed ^ (i as u64) << 8;
         let src = GateLevelSource::new(cfg, 1, 0.4);
-        let mut campaign = Campaign::parallel(traces, args.seed ^ (0x17 + i as u64));
-        if let Some(t) = args.threads {
-            campaign.threads = t;
-        }
+        let campaign = args.campaign(traces, args.seed ^ (0x17 + i as u64));
         let r = metrics.run_streamed(&format!("fig17{panel}-gate"), &campaign, &src);
         print_panel(
             &format!("panel ({panel}) gate level: PRNG on, fixed plaintext {pt:#018x}"),
@@ -84,7 +80,7 @@ fn main() {
         let src = AnyCycleSource::new(cfg.clone(), args.scalar);
         let r = metrics.run_streamed(
             &format!("fig17{panel}-pt{i}"),
-            &Campaign::parallel(traces, args.seed ^ (0x17 + i as u64)),
+            &args.campaign(traces, args.seed ^ (0x17 + i as u64)),
             &src,
         );
         print_panel(
@@ -98,7 +94,7 @@ fn main() {
         if i == 0 {
             // When does the first-order crossing appear?
             let det = first_detection(
-                &Campaign::parallel(traces, args.seed ^ 0x171),
+                &args.campaign(traces, args.seed ^ 0x171),
                 &AnyCycleSource::new(cfg, args.scalar),
                 1024,
             );
@@ -134,7 +130,7 @@ fn main() {
         cfg.prng_on = false;
         cfg.seed = args.seed ^ 0xd;
         let det = first_detection(
-            &Campaign::parallel(traces.min(50_000), args.seed ^ 0x17d),
+            &args.campaign(traces.min(50_000), args.seed ^ 0x17d),
             &AnyCycleSource::new(cfg.clone(), args.scalar),
             16,
         );
@@ -149,7 +145,7 @@ fn main() {
         let src = AnyCycleSource::new(cfg, args.scalar);
         let r = metrics.run_streamed(
             "fig17d-prng-off",
-            &Campaign::parallel(12_000.min(traces), args.seed ^ 0x17e),
+            &args.campaign(12_000.min(traces), args.seed ^ 0x17e),
             &src,
         );
         print_panel("panel (d) t-curves @12k traces", &r, &args.out_dir, "fig17d");
@@ -165,7 +161,7 @@ fn main() {
         let src = AnyCycleSource::with_pd_leak(cfg, leak, args.scalar);
         let r = metrics.run_streamed(
             "ablation-no-coupling",
-            &Campaign::parallel(traces, args.seed ^ 0xab2),
+            &args.campaign(traces, args.seed ^ 0xab2),
             &src,
         );
         let m1 = max_abs(&r.t1());

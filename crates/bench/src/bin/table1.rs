@@ -10,7 +10,7 @@
 //!
 //! Power comes from the event-driven gate-level simulation — glitch
 //! energy arises from timing alone; acquisition goes through the shared
-//! [`gm_bench::gate`] sources and the persistent-worker campaign pool.
+//! [`gm_bench::gate`] sources and the campaign's chunk loop.
 //! Every row is also decided by the exact probing oracle
 //! (`gm_core::analysis::probe_check`), which enumerates all 16 share
 //! assignments on the campaign's own device with its jitter set to 0;
@@ -23,7 +23,7 @@ use gm_bench::gate::{build_sec_and2_bank, sequence_arrivals, SequenceSource};
 use gm_bench::{Args, MetricsSink};
 use gm_core::analysis::probe_check;
 use gm_core::schedule::{all_sequences, predicted_leaky, ArrivalSequence};
-use gm_leakage::{leaks, report, Campaign, THRESHOLD};
+use gm_leakage::{leaks, report, THRESHOLD};
 use gm_sim::DelayModel;
 use std::sync::Arc;
 
@@ -59,10 +59,7 @@ fn main() {
         } else {
             SequenceSource::new(Arc::clone(&bank), Arc::clone(&delays), seq, args.seed)
         };
-        let mut campaign = Campaign::parallel(traces, args.seed ^ i as u64);
-        if let Some(t) = args.threads {
-            campaign.threads = t;
-        }
+        let campaign = args.campaign(traces, args.seed ^ i as u64);
         let result = metrics.run(&format!("seq{:02}", i + 1), &campaign, &src);
         let t1 = result.t1();
         let measured_leak = leaks(&t1);

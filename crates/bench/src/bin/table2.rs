@@ -23,7 +23,7 @@ use gm_bench::gate::{build_chain_bank, ChainSource, CHAIN_REPLICAS, CHAIN_UNIT_L
 use gm_bench::{Args, MetricsSink};
 use gm_core::analysis::probe_check;
 use gm_core::schedule::chain_delay_schedule;
-use gm_leakage::{leaks, Campaign};
+use gm_leakage::leaks;
 use gm_sim::DelayModel;
 use std::sync::Arc;
 
@@ -67,10 +67,7 @@ fn main() {
             } else {
                 ChainSource::new(Arc::clone(&bank), Arc::clone(&delays), args.seed)
             };
-            let mut campaign = Campaign::parallel(traces, args.seed ^ (k as u64));
-            if let Some(t) = args.threads {
-                campaign.threads = t;
-            }
+            let campaign = args.campaign(traces, args.seed ^ (k as u64));
             let phase = format!("k{k}-{}", if sabotage { "sabotaged" } else { "safe" });
             let r = metrics.run(&phase, &campaign, &src);
             let t1 = r.t1();

@@ -10,6 +10,12 @@
 //! line-by-line as campaign-metrics JSONL, dispatching on the record's
 //! `kind`: `phase` records carry the `traces`/`threads`/`counters`
 //! envelope, `progress` records the live-convergence snapshot members.
+//!
+//! A trace named right after its run's metrics file is also checked
+//! against it: the k-th `metrics.phase` span must hold as many
+//! `tvla.block` spans as the k-th record with a `pool.blocks` counter
+//! counts, so spans lost with an unflushed worker ring are caught.
+//!
 //! Exits non-zero naming the first offending file/line so CI fails
 //! loudly on schema drift.
 
@@ -137,16 +143,57 @@ fn validate_trace(v: &Json) -> Result<usize, String> {
     Ok(events.len())
 }
 
+/// Check a validated trace against the `pool.blocks` of a run's campaign
+/// phase records, in order (see the module docs).
+fn check_blocks(trace: &Json, blocks: &[u64]) -> Result<(), String> {
+    let events = trace.get("traceEvents").and_then(Json::as_arr).unwrap_or_default();
+    let edges = |name: &str, ph: &str| -> Vec<f64> {
+        let is = |e: &&Json, k: &str, v: &str| e.get(k).and_then(Json::as_str) == Some(v);
+        let at = |e: &Json| e.get("ts").and_then(Json::as_f64).unwrap_or_default();
+        events.iter().filter(|e| is(e, "name", name) && is(e, "ph", ph)).map(at).collect()
+    };
+    let (begins, ends) = (edges("metrics.phase", "B"), edges("metrics.phase", "E"));
+    if begins.len() != blocks.len() {
+        return Err(format!(
+            "{} campaign phase record(s) but {} metrics.phase span(s)",
+            blocks.len(),
+            begins.len()
+        ));
+    }
+    let block_starts = edges("tvla.block", "B");
+    for (k, ((b, e), &want)) in begins.into_iter().zip(ends).zip(blocks).enumerate() {
+        let got = block_starts.iter().filter(|&&t| (b..=e).contains(&t)).count() as u64;
+        if got != want {
+            return Err(format!(
+                "campaign phase {}: {got} tvla.block span(s) but pool.blocks {want}; \
+                 spans were lost",
+                k + 1
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The `pool.blocks` counters of the phase records in a metrics file.
+fn phase_blocks(text: &str) -> Vec<u64> {
+    text.lines()
+        .filter_map(|line| json::parse(line).ok())
+        .filter(|v| v.get("kind").and_then(Json::as_str).unwrap_or("phase") == "phase")
+        .filter_map(|v| v.get("counters")?.get("pool.blocks")?.as_u64())
+        .collect()
+}
+
 enum Validated {
-    Trace(usize),
-    Records(usize),
+    Trace(usize, Json),
+    Records(usize, Vec<u64>),
 }
 
 fn validate_file(path: &str) -> Result<Validated, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read: {e}"))?;
     if let Ok(v) = json::parse(&text) {
         if v.get("traceEvents").is_some() {
-            return validate_trace(&v).map(Validated::Trace).map_err(|e| format!("{path}: {e}"));
+            let n = validate_trace(&v).map_err(|e| format!("{path}: {e}"))?;
+            return Ok(Validated::Trace(n, v));
         }
     }
     let mut records = 0usize;
@@ -160,7 +207,7 @@ fn validate_file(path: &str) -> Result<Validated, String> {
     if records == 0 {
         return Err(format!("{path}: no records"));
     }
-    Ok(Validated::Records(records))
+    Ok(Validated::Records(records, phase_blocks(&text)))
 }
 
 fn main() {
@@ -170,16 +217,26 @@ fn main() {
         std::process::exit(2);
     }
     let mut total = 0usize;
+    let mut run_blocks: Option<(&str, Vec<u64>)> = None;
     for path in &paths {
-        match validate_file(path) {
-            Ok(Validated::Trace(n)) => {
+        let checked = validate_file(path).and_then(|validated| match validated {
+            Validated::Trace(n, trace) => {
+                if let Some((records, blocks)) = run_blocks.take() {
+                    check_blocks(&trace, &blocks)
+                        .map_err(|e| format!("{path} vs {records}: {e}"))?;
+                    println!("{path}: span counts match {records}");
+                }
                 println!("{path}: valid Chrome trace ({n} event(s))");
-                total += n;
+                Ok(n)
             }
-            Ok(Validated::Records(n)) => {
+            Validated::Records(n, blocks) => {
+                run_blocks = Some((path, blocks));
                 println!("{path}: {n} valid record(s)");
-                total += n;
+                Ok(n)
             }
+        });
+        match checked {
+            Ok(n) => total += n,
             Err(e) => {
                 eprintln!("validate_metrics: {e}");
                 std::process::exit(1);
@@ -248,6 +305,51 @@ mod tests {
         // Empty capture (obs-off build) is a valid trace.
         let empty = json::parse("{\"traceEvents\":[]}").unwrap();
         assert_eq!(validate_trace(&empty).unwrap(), 0);
+    }
+
+    /// A cheap one-sample source for a real campaign.
+    struct Counting(u64);
+    impl gm_leakage::TraceSource for Counting {
+        fn fork(&self, stream: u64) -> Self {
+            Counting(stream << 32)
+        }
+        fn num_samples(&self) -> usize {
+            1
+        }
+        fn trace(&mut self, _class: gm_leakage::Class, out: &mut [f64]) {
+            self.0 += 1;
+            out[0] = (self.0 % 7) as f64;
+        }
+    }
+
+    /// A two-worker, three-chunk campaign's trace matches its phase
+    /// record; the same trace with one worker's spans dropped, as when
+    /// that worker's span ring is never flushed, is rejected.
+    #[test]
+    fn trace_with_a_workers_spans_dropped_is_rejected() {
+        if !gm_obs::ENABLED {
+            return;
+        }
+        let path = std::env::temp_dir().join("gm_validate_lost_spans.jsonl");
+        let path = path.to_str().unwrap();
+        let args = gm_bench::Args { metrics: Some(path.to_owned()), ..Default::default() };
+        let mut sink = gm_bench::MetricsSink::from_args("t", &args);
+        gm_obs::trace::start_capture();
+        let campaign = gm_leakage::Campaign { traces: 40_000, threads: 2, seed: 1 };
+        sink.run("p", &campaign, &Counting(0));
+        let events = gm_obs::trace::stop_capture();
+        let blocks = phase_blocks(&std::fs::read_to_string(path).unwrap());
+        let _ = std::fs::remove_file(path);
+        assert_eq!(blocks, vec![64 + 64 + 29], "three chunks of 64, 64 and 29 blocks");
+
+        let trace = |events: &[gm_obs::trace::SpanEvent]| {
+            json::parse(&gm_obs::trace::chrome_trace_json(events)).unwrap()
+        };
+        check_blocks(&trace(&events), &blocks).unwrap();
+        let worker = events.iter().find(|e| e.name == "tvla.block").unwrap().tid;
+        let kept: Vec<_> = events.iter().filter(|e| e.tid != worker).copied().collect();
+        let err = check_blocks(&trace(&kept), &blocks).unwrap_err();
+        assert!(err.contains("spans were lost"), "{err}");
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Minimal flag parsing shared by the experiment binaries
 //! (we avoid external CLI crates; see DESIGN.md §4.6).
 
+use gm_leakage::Campaign;
+
 /// Fewest traces a claim binary lets any of its campaigns run. A t-test
 /// needs two traces in each class; with 64 traces the chance that a
 /// class gets fewer is about 7e-18.
@@ -19,7 +21,8 @@ pub struct Args {
     pub out_dir: String,
     /// `--quick`: reduced trace counts for CI smoke runs.
     pub quick: bool,
-    /// `--threads N`: worker threads for campaign binaries that honour it.
+    /// `--threads N`: campaign worker threads (default: all available
+    /// parallelism, see [`Args::campaign`]).
     pub threads: Option<usize>,
     /// `--label S`: free-form label attached to every `--metrics`
     /// record.
@@ -122,6 +125,14 @@ impl Args {
         self.traces.unwrap_or(if self.quick { quick } else { full })
     }
 
+    /// A campaign of `traces` traces under `seed` on `--threads` workers,
+    /// or on all available parallelism without the flag. The thread count
+    /// sets the speed only; the result is the same for every count.
+    pub fn campaign(&self, traces: u64, seed: u64) -> Campaign {
+        let host = || std::thread::available_parallelism().map_or(4, |n| n.get());
+        Campaign { traces, threads: self.threads.unwrap_or_else(host), seed }
+    }
+
     /// [`Args::trace_count`] for a binary whose smallest campaign runs
     /// that many traces. A count below [`MIN_CAMPAIGN_TRACES`] is
     /// refused, naming the flag and the minimum, before any campaign work.
@@ -182,6 +193,13 @@ mod tests {
         assert!(!a.progress);
         assert!(a.progress_every.is_none());
         assert!(a.trace_out.is_none());
+    }
+
+    #[test]
+    fn campaign_honours_threads() {
+        let c = parse("--threads 3").campaign(5_000, 7);
+        assert_eq!((c.traces, c.threads, c.seed), (5_000, 3, 7));
+        assert!(parse("").campaign(5_000, 7).threads >= 1);
     }
 
     #[test]

@@ -119,9 +119,19 @@ impl MetricsSink {
         source: &S,
     ) -> TvlaResult {
         let start = Instant::now();
-        let (result, obs) = campaign.run_observed(source);
+        let (result, obs) = {
+            let _phase = Self::phase_span();
+            campaign.run_observed(source)
+        };
         self.record_campaign(name, start.elapsed().as_secs_f64(), &obs, result.total_traces());
         result
+    }
+
+    /// The `metrics.phase` span around one recorded campaign phase (opened
+    /// by `run` and `run_streamed`); `validate_metrics` checks that it
+    /// holds as many `tvla.block` spans as the record's `pool.blocks`.
+    pub fn phase_span() -> gm_obs::trace::TraceSpan {
+        gm_obs::trace::span("metrics.phase")
     }
 
     /// Streaming counterpart of [`MetricsSink::run`]: identical final
@@ -158,6 +168,7 @@ impl MetricsSink {
                 sink.emit_progress(name, done, campaign.traces, threads, seconds, t1, t2);
                 conv.observe(done, t1, seconds);
             };
+            let _phase = Self::phase_span();
             campaign.run_streamed_observed(source, every, &mut on_progress)
         };
         conv.finish();
@@ -349,14 +360,8 @@ impl MetricsSink {
             total.merge(&p.counters);
             traces += p.traces;
         }
-        if let (Some(acq), idle) = (total.get("pool.acquire_ns"), total.get("pool.idle_ns")) {
-            let idle = idle.unwrap_or(0);
-            println!(
-                "  pool: {} acquiring, {} idle ({:.1}% busy)",
-                human_ns(acq),
-                human_ns(idle),
-                100.0 * acq as f64 / (acq + idle).max(1) as f64,
-            );
+        if let Some(acq) = total.get("pool.acquire_ns") {
+            println!("  pool: {} acquiring", human_ns(acq));
         }
         if let Some(events) = total.get("sim.events") {
             let per_trace = if traces > 0 { events as f64 / traces as f64 } else { 0.0 };
@@ -587,7 +592,7 @@ mod tests {
         assert!(first.get("git_rev").unwrap().as_str().is_some());
         assert!(first.get("seconds").unwrap().as_f64().unwrap() >= 0.0);
         let counters = first.get("counters").unwrap();
-        assert_eq!(counters.get("noise.calls").unwrap().as_u64(), Some(2), "one per worker");
+        assert_eq!(counters.get("noise.calls").unwrap().as_u64(), Some(1), "one per chunk");
         assert_eq!(counters.get("pool.workers").unwrap().as_u64(), Some(2));
         let second = json::parse(lines[1]).unwrap();
         assert_eq!(second.get("phase").unwrap().as_str(), Some("beta"));
@@ -669,7 +674,7 @@ mod tests {
         let events = v.get("traceEvents").unwrap().as_arr().unwrap();
         if gm_obs::ENABLED {
             assert!(!events.is_empty(), "campaign spans must be captured");
-            assert!(events.iter().any(|e| e.get("name").unwrap().as_str() == Some("tvla.quota")));
+            assert!(events.iter().any(|e| e.get("name").unwrap().as_str() == Some("tvla.chunk")));
         }
         // Sibling tests run campaigns concurrently in this process; their
         // spans still open at stop_capture leave stray B events, so only

@@ -65,3 +65,13 @@ fn fig17_gate_level_refuses_tiny_campaigns() {
 fn ablations_refuses_tiny_campaigns() {
     assert_refused(env!("CARGO_BIN_EXE_ablations"));
 }
+
+#[test]
+fn fig15_gate_refuses_tiny_campaigns() {
+    assert_refused(env!("CARGO_BIN_EXE_fig15_gate"));
+}
+
+#[test]
+fn calibrate_refuses_tiny_campaigns() {
+    assert_refused(env!("CARGO_BIN_EXE_calibrate"));
+}

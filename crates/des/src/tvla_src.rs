@@ -474,7 +474,7 @@ impl TraceSource for AnyCycleSource {
 // Gate-level backend
 // ---------------------------------------------------------------------
 
-/// Per-worker persistent acquisition sink: the power trace, optionally
+/// A fork's acquisition sink: the power trace, optionally
 /// wrapped in a crosstalk model. Cleared (not reallocated) per trace.
 enum GateSink {
     Plain(PowerTrace),
@@ -504,11 +504,11 @@ impl GateSink {
 
 /// Glitch-accurate TVLA source over the generated netlists.
 ///
-/// Every worker (fork) owns a persistent [`DesDriverCore`] and sink over
-/// the shared, read-only [`SimGraph`]; per trace the driver is
-/// [`DesDriverCore::reset`] with the next seed of the worker's seed
-/// chain, which is bit-identical to the old construct-per-trace path but
-/// skips the graph build, the baseline settle and every allocation.
+/// Every fork (one per campaign chunk) owns a [`DesDriverCore`] and sink
+/// over the shared, read-only [`SimGraph`]; per trace the driver is
+/// [`DesDriverCore::reset`] with the next seed of the fork's seed chain,
+/// which is bit-identical to the old construct-per-trace path but skips
+/// the graph build, the baseline settle and every allocation.
 pub struct GateLevelSource {
     cfg: SourceConfig,
     core: Arc<DesCoreNetlist>,
@@ -698,8 +698,8 @@ mod tests {
     }
 
     /// Fig. 14 golden check: the full *parallel* campaign pipeline
-    /// (persistent worker pool, per-worker source forks, blocked moment
-    /// merge) reports the same `max|t1|` on both backends to 1e-9,
+    /// (worker pool, per-chunk source forks, blocked moment merge)
+    /// reports the same `max|t1|` on both backends to 1e-9,
     /// pinned here at test size.
     #[test]
     fn fig14_parallel_max_t1_matches_scalar_golden() {
@@ -871,7 +871,8 @@ mod tests {
     /// moves one bit of the moment state on both sides passes them; this
     /// one fails. The constants were recorded before the blocked kernels
     /// replaced the per-sample loops and must never be re-recorded to
-    /// make a kernel change pass.
+    /// make a kernel change pass. A 700-trace campaign is one chunk, so
+    /// the two-thread streamed run must land on the one-thread PD bits.
     #[test]
     fn cycle_model_moment_state_is_bit_pinned() {
         let ff = SourceConfig::new(CoreVariant::Ff);
@@ -884,7 +885,7 @@ mod tests {
         let got_stream = moment_bits(&r);
         assert_eq!(
             [got_ff, got_pd, got_stream],
-            [0x52ce_caef_3121_7bb8, 0x9420_0ac6_70a5_9bfa, 0x4c12_d778_fbe8_15f5],
+            [0x52ce_caef_3121_7bb8, 0x9420_0ac6_70a5_9bfa, 0x9420_0ac6_70a5_9bfa],
             "moment-state bits moved: {got_ff:#018x} {got_pd:#018x} {got_stream:#018x}"
         );
     }

@@ -7,8 +7,6 @@
 //!
 //! * [`Counter`] — a plain monotonic event counter for single-owner hot
 //!   paths (one writer, reads only at report time).
-//! * [`AtomicCounter`] — the shared-ownership variant (relaxed atomics)
-//!   for values updated from several worker threads.
 //! * [`LogHist`] — a fixed-size power-of-two histogram
 //!   ([`HIST_BUCKETS`] log2 buckets) for latency/occupancy
 //!   distributions; merging is exact, no allocation ever.
@@ -42,9 +40,7 @@ mod metrics;
 mod report;
 pub mod trace;
 
-pub use metrics::{
-    bucket_lo, AtomicCounter, Counter, LogHist, Span, Stopwatch, Timer, HIST_BUCKETS,
-};
+pub use metrics::{bucket_lo, Counter, LogHist, Span, Stopwatch, Timer, HIST_BUCKETS};
 pub use report::{escape_into, Report};
 
 /// `true` when instrumentation is compiled in (the `obs-off` feature is
@@ -70,7 +66,6 @@ mod tests {
         #[test]
         fn primitives_are_zero_sized() {
             assert_eq!(core::mem::size_of::<Counter>(), 0);
-            assert_eq!(core::mem::size_of::<AtomicCounter>(), 0);
             assert_eq!(core::mem::size_of::<LogHist>(), 0);
             assert_eq!(core::mem::size_of::<Stopwatch>(), 0);
             assert_eq!(core::mem::size_of::<Timer>(), 0);
@@ -83,10 +78,6 @@ mod tests {
             c.inc();
             c.add(17);
             assert_eq!(c.get(), 0);
-            let a = AtomicCounter::new();
-            a.inc();
-            a.add(3);
-            assert_eq!(a.get(), 0);
             let mut h = LogHist::new();
             h.record(1000);
             assert_eq!(h.count(), 0);

@@ -37,7 +37,6 @@ pub(crate) fn bucket_index(v: u64) -> usize {
 #[cfg(not(feature = "obs-off"))]
 mod live {
     use super::{bucket_index, HIST_BUCKETS};
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Instant;
 
     /// Single-owner monotonic event counter.
@@ -74,38 +73,6 @@ mod live {
         #[inline]
         pub fn reset(&mut self) {
             self.value = 0;
-        }
-    }
-
-    /// Shared-ownership counter (relaxed atomics) for values bumped from
-    /// several worker threads.
-    #[derive(Debug, Default)]
-    pub struct AtomicCounter {
-        value: AtomicU64,
-    }
-
-    impl AtomicCounter {
-        /// A counter at zero.
-        pub const fn new() -> Self {
-            AtomicCounter { value: AtomicU64::new(0) }
-        }
-
-        /// Count one event.
-        #[inline(always)]
-        pub fn inc(&self) {
-            self.value.fetch_add(1, Ordering::Relaxed);
-        }
-
-        /// Count `n` events at once.
-        #[inline(always)]
-        pub fn add(&self, n: u64) {
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
-
-        /// Current count (0 forever under `obs-off`).
-        #[inline]
-        pub fn get(&self) -> u64 {
-            self.value.load(Ordering::Relaxed)
         }
     }
 
@@ -285,24 +252,6 @@ mod off {
         pub fn reset(&mut self) {}
     }
 
-    /// No-op `AtomicCounter` mirror (`obs-off`).
-    #[derive(Debug, Default)]
-    pub struct AtomicCounter;
-
-    impl AtomicCounter {
-        pub const fn new() -> Self {
-            AtomicCounter
-        }
-        #[inline(always)]
-        pub fn inc(&self) {}
-        #[inline(always)]
-        pub fn add(&self, _n: u64) {}
-        #[inline(always)]
-        pub fn get(&self) -> u64 {
-            0
-        }
-    }
-
     /// No-op `LogHist` mirror (`obs-off`).
     #[derive(Debug, Clone, Default)]
     pub struct LogHist;
@@ -384,9 +333,9 @@ mod off {
 }
 
 #[cfg(not(feature = "obs-off"))]
-pub use live::{AtomicCounter, Counter, LogHist, Span, Stopwatch, Timer};
+pub use live::{Counter, LogHist, Span, Stopwatch, Timer};
 #[cfg(feature = "obs-off")]
-pub use off::{AtomicCounter, Counter, LogHist, Span, Stopwatch, Timer};
+pub use off::{Counter, LogHist, Span, Stopwatch, Timer};
 
 #[cfg(all(test, not(feature = "obs-off")))]
 mod tests {
@@ -401,22 +350,6 @@ mod tests {
         assert_eq!(c.get(), 42);
         c.reset();
         assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn atomic_counter_counts_across_threads() {
-        let c = AtomicCounter::new();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..1000 {
-                        c.inc();
-                    }
-                });
-            }
-        });
-        c.add(5);
-        assert_eq!(c.get(), 4005);
     }
 
     #[test]
