@@ -24,7 +24,7 @@ fn census(style: SboxStyle, seed: u64) -> (usize, usize, BTreeMap<String, usize>
     let mut drv = DesCoreDriver::new(&core, &delays, period, seed ^ 1);
     let mut rng = MaskRng::new(seed ^ 2);
     let inputs = EncryptionInputs::draw(0x0123456789ABCDEF, 0x133457799BBCDFF1, &mut rng);
-    let mut rec = WaveformRecorder::all_zero(core.netlist.num_nets());
+    let mut rec = WaveformRecorder::new(core.netlist.num_nets());
     let _ = drv.encrypt(&inputs, &mut rec);
 
     // A "glitch" is a pulse narrower than half a logic level (< 600 ps):

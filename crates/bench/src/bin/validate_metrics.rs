@@ -4,9 +4,11 @@
 //! Usage: `validate_metrics <file> [more ...]`
 //!
 //! Each file is sniffed: a whole-file JSON object carrying `traceEvents`
-//! is validated as a Chrome trace-event export (event envelope plus
-//! per-thread begin/end stack discipline; an empty event array is valid —
-//! that is what an `obs-off` build exports). Anything else is validated
+//! is validated as a Chrome trace-event export (a `dropped_events` member
+//! of 0, the event envelope, and per-thread begin/end stack discipline;
+//! an empty event array is valid — that is what an `obs-off` build
+//! exports). A trace whose recorder dropped spans at its store cap is
+//! rejected: it is not the whole run. Anything else is validated
 //! line-by-line as campaign-metrics JSONL, dispatching on the record's
 //! `kind`: `phase` records carry the `traces`/`threads`/`counters`
 //! envelope, `progress` records the live-convergence snapshot members.
@@ -100,6 +102,10 @@ fn validate_line(line: &str) -> Result<(), String> {
 /// and begin/end balance per thread (an `E` must close the most recent
 /// open `B` of its thread, and nothing may stay open at the end).
 fn validate_trace(v: &Json) -> Result<usize, String> {
+    let dropped = u64_member(v, "dropped_events")?;
+    if dropped > 0 {
+        return Err(format!("{dropped} span event(s) were dropped at the store cap"));
+    }
     let events = v
         .get("traceEvents")
         .and_then(Json::as_arr)
@@ -295,7 +301,7 @@ mod tests {
     #[test]
     fn accepts_balanced_trace() {
         let body = format!(
-            "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{},{},{},{}]}}",
+            "{{\"displayTimeUnit\":\"ms\",\"dropped_events\":0,\"traceEvents\":[{},{},{},{}]}}",
             ev("a", "B", 1, 0.0),
             ev("b", "B", 1, 1.0),
             ev("b", "E", 1, 2.0),
@@ -303,8 +309,23 @@ mod tests {
         );
         assert_eq!(validate_trace(&json::parse(&body).unwrap()).unwrap(), 4);
         // Empty capture (obs-off build) is a valid trace.
-        let empty = json::parse("{\"traceEvents\":[]}").unwrap();
+        let empty = json::parse("{\"dropped_events\":0,\"traceEvents\":[]}").unwrap();
         assert_eq!(validate_trace(&empty).unwrap(), 0);
+    }
+
+    /// A trace that lost spans at the recorder's cap, or does not say
+    /// whether it did, is not a whole run.
+    #[test]
+    fn rejects_traces_with_dropped_or_uncounted_events() {
+        let balanced = format!("{},{}", ev("a", "B", 1, 0.0), ev("a", "E", 1, 1.0));
+        for (body, want) in [
+            (format!("{{\"dropped_events\":3,\"traceEvents\":[{balanced}]}}"), "3 span event(s)"),
+            (format!("{{\"traceEvents\":[{balanced}]}}"), "'dropped_events'"),
+            (format!("{{\"dropped_events\":-1,\"traceEvents\":[{balanced}]}}"), "'dropped_events'"),
+        ] {
+            let err = validate_trace(&json::parse(&body).unwrap()).unwrap_err();
+            assert!(err.contains(want), "{body}: {err}");
+        }
     }
 
     /// A cheap one-sample source for a real campaign.
@@ -364,7 +385,7 @@ mod tests {
             // Threads do not share stacks.
             vec![ev("a", "B", 1, 0.0), ev("a", "E", 2, 1.0)],
         ] {
-            let body = format!("{{\"traceEvents\":[{}]}}", events.join(","));
+            let body = format!("{{\"dropped_events\":0,\"traceEvents\":[{}]}}", events.join(","));
             assert!(validate_trace(&json::parse(&body).unwrap()).is_err(), "{body}");
         }
     }

@@ -26,7 +26,7 @@
 //! and [`reset_ablation`] (§II-C's reset discipline).
 
 use gm_core::analysis::{Arrival, Drive};
-use gm_core::compose::build_product_chain_pd_with_schedule;
+use gm_core::compose::build_product_chain_pd;
 use gm_core::gadgets::sec_and2::build_sec_and2;
 use gm_core::gadgets::sec_and2_pd::{build_sec_and2_pd, PdConfig};
 use gm_core::gadgets::AndInputs;
@@ -523,7 +523,7 @@ pub fn build_chain_bank(k: usize, sabotage: bool) -> ChainBank {
     }
     for r in 0..CHAIN_REPLICAS {
         n.in_module(format!("g{r}"), |n| {
-            let chain = build_product_chain_pd_with_schedule(n, &vars, CHAIN_UNIT_LUTS, &schedule);
+            let chain = build_product_chain_pd(n, &vars, CHAIN_UNIT_LUTS, &schedule);
             n.output(format!("z0_{r}"), chain.out.z0);
             n.output(format!("z1_{r}"), chain.out.z1);
         });

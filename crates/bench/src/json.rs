@@ -229,17 +229,20 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(format!("raw control character at byte {}", self.pos));
+                }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_owned())?;
-                    let c = rest.chars().next().expect("non-empty");
-                    if (c as u32) < 0x20 {
-                        return Err(format!("raw control character at byte {}", self.pos));
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one piece. Those bytes are ASCII and
+                    // the input is a &str, so the run is valid UTF-8.
+                    let start = self.pos;
+                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20) {
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(
+                        std::str::from_utf8(&self.bytes[start..self.pos]).expect("char boundary"),
+                    );
                 }
                 None => return Err("unterminated string".to_owned()),
             }
@@ -299,6 +302,18 @@ mod tests {
         assert!(parse("{}extra").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn strings_keep_multibyte_escapes_and_error_offsets() {
+        let v = parse("\"a\u{e9}\u{4e2d}\u{1f600}\\n\\u00e9\\\"z\"").unwrap();
+        assert_eq!(v, Json::Str("a\u{e9}\u{4e2d}\u{1f600}\n\u{e9}\"z".to_owned()));
+        // 'é' is two bytes, so the control character sits at byte 3.
+        assert_eq!(parse("\"\u{e9}\u{1}\"").unwrap_err(), "raw control character at byte 3");
+        assert_eq!(parse("\"\u{1}\"").unwrap_err(), "raw control character at byte 1");
+        // The 4-byte emoji ends at byte 4, its backslash at 5.
+        assert_eq!(parse("\"\u{1f600}\\q\"").unwrap_err(), "bad escape at byte 6");
+        assert_eq!(parse("\"\u{4e2d}").unwrap_err(), "unterminated string");
     }
 
     #[test]

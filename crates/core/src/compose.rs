@@ -1,105 +1,14 @@
-//! Composition of gadgets into product terms (§III).
-//!
-//! * **FF style** (Fig. 4): a balanced tree of `secAND2-FF` gadgets; layer
-//!   `l`'s internal flip-flops are enabled on cycle `l+1`, giving a
-//!   product of `n` variables in `⌈log₂ n⌉ + 1` cycles with `n − 1`
-//!   gadgets.
-//! * **PD style** (Fig. 6): a chain of `secAND2-PD` gadgets with the
-//!   generalised Table II delay schedule on the primary inputs, computing
-//!   the whole product in a **single** cycle.
+//! The PD-style product chain (Fig. 6): a chain of `secAND2` gadgets
+//! whose primary inputs pass through DelayUnits per a delay schedule, so
+//! the whole product is computed in a **single** cycle. With
+//! [`chain_delay_schedule`](crate::schedule::chain_delay_schedule) the
+//! shares arrive in the safe order of Table II; other schedules build the
+//! deliberately unsafe chains the Table II experiment contrasts it with.
 
 use crate::gadgets::sec_and2::build_sec_and2;
 use crate::gadgets::{AndInputs, AndOutputs};
-use crate::schedule::chain_delay_schedule;
-use crate::share::MaskedBit;
+use crate::schedule::ShareDelay;
 use gm_netlist::{NetId, Netlist};
-
-/// Software model: masked product of all bits (independent sharings
-/// assumed), folded through `secAND2`.
-///
-/// # Examples
-///
-/// ```
-/// use gm_core::{MaskRng, MaskedBit};
-/// use gm_core::compose::product;
-///
-/// let mut rng = MaskRng::new(1);
-/// let bits: Vec<MaskedBit> =
-///     [true, true, false].iter().map(|&v| MaskedBit::mask(v, &mut rng)).collect();
-/// assert!(!product(&bits).unmask(), "1·1·0 = 0");
-/// ```
-///
-/// # Panics
-///
-/// Panics on an empty slice.
-pub fn product(bits: &[MaskedBit]) -> MaskedBit {
-    let (&first, rest) = bits.split_first().expect("product of at least one bit");
-    rest.iter().fold(first, |acc, &b| crate::gadgets::sec_and2(acc, b))
-}
-
-/// Latency in cycles of the FF-style tree for `n` variables:
-/// `⌈log₂ n⌉ + 1` (§III-A).
-pub fn ff_tree_latency(n: usize) -> usize {
-    assert!(n >= 2, "a product needs at least two variables");
-    (usize::BITS - (n - 1).leading_zeros()) as usize + 1
-}
-
-/// Result of building an FF-style product tree.
-#[derive(Debug, Clone)]
-pub struct FfTree {
-    /// Output shares of the full product.
-    pub out: AndOutputs,
-    /// Enable net of each tree layer; layer `l` must be pulsed high on
-    /// cycle `l + 1` (Fig. 4's FSM contract).
-    pub layer_enables: Vec<NetId>,
-    /// Total latency in cycles.
-    pub latency_cycles: usize,
-    /// Number of `secAND2` gadgets instantiated (`n − 1`).
-    pub gadgets: usize,
-}
-
-/// Build the Fig. 4 product tree over independently-shared variables.
-/// `vars[i]` is `(share0, share1)` of variable `i`.
-///
-/// # Panics
-///
-/// Panics with fewer than two variables.
-pub fn build_product_tree_ff(n: &mut Netlist, vars: &[(NetId, NetId)]) -> FfTree {
-    assert!(vars.len() >= 2, "a product needs at least two variables");
-    let mut layer_enables = Vec::new();
-    let mut gadgets = 0;
-    let mut level: Vec<(NetId, NetId)> = vars.to_vec();
-    let mut layer = 0usize;
-    while level.len() > 1 {
-        let enable = n.input(format!("en_layer{layer}"));
-        layer_enables.push(enable);
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        let mut it = level.chunks_exact(2);
-        for pair in &mut it {
-            let (x, y) = (pair[0], pair[1]);
-            // secAND2 with the y1 share registered behind this layer's
-            // enable — the "internal FF" of secAND2-FF.
-            let out = crate::gadgets::sec_and2_ff::build_sec_and2_ff(
-                n,
-                AndInputs { x0: x.0, x1: x.1, y0: y.0, y1: y.1 },
-                enable,
-            );
-            gadgets += 1;
-            next.push((out.z0, out.z1));
-        }
-        if let [odd] = it.remainder() {
-            next.push(*odd);
-        }
-        level = next;
-        layer += 1;
-    }
-    FfTree {
-        out: AndOutputs { z0: level[0].0, z1: level[0].1 },
-        layer_enables,
-        latency_cycles: ff_tree_latency(vars.len()),
-        gadgets,
-    }
-}
 
 /// Result of building a PD-style product chain.
 #[derive(Debug, Clone)]
@@ -113,8 +22,25 @@ pub struct PdChain {
 }
 
 /// Build the Fig. 6 single-cycle product chain over independently-shared
-/// variables, inserting `unit_luts`-element DelayUnits per the
-/// generalised Table II schedule.
+/// variables. `vars[i]` is `(share0, share1)` of variable `i`; each entry
+/// of `schedule` delays one share by that many `unit_luts`-element
+/// DelayUnits.
+///
+/// # Examples
+///
+/// ```
+/// use gm_core::compose::build_product_chain_pd;
+/// use gm_core::schedule::chain_delay_schedule;
+/// use gm_netlist::{NetId, Netlist};
+///
+/// let mut n = Netlist::new("chain");
+/// let vars: Vec<(NetId, NetId)> =
+///     (0..3).map(|i| (n.input(format!("v{i}s0")), n.input(format!("v{i}s1")))).collect();
+/// let chain = build_product_chain_pd(&mut n, &vars, 10, &chain_delay_schedule(3));
+/// assert_eq!(chain.gadgets, 2);
+/// // Table II's schedule for three variables sums to 12 DelayUnits.
+/// assert_eq!(chain.delay_bufs, 12 * 10);
+/// ```
 ///
 /// # Panics
 ///
@@ -123,23 +49,7 @@ pub fn build_product_chain_pd(
     n: &mut Netlist,
     vars: &[(NetId, NetId)],
     unit_luts: usize,
-) -> PdChain {
-    let schedule = chain_delay_schedule(vars.len());
-    build_product_chain_pd_with_schedule(n, vars, unit_luts, &schedule)
-}
-
-/// As [`build_product_chain_pd`] but with an explicit delay schedule —
-/// for ablation studies that deliberately violate the safe sequence
-/// (e.g. making an `x` share arrive last, which Table I shows to leak).
-///
-/// # Panics
-///
-/// Panics with fewer than two variables.
-pub fn build_product_chain_pd_with_schedule(
-    n: &mut Netlist,
-    vars: &[(NetId, NetId)],
-    unit_luts: usize,
-    schedule: &[crate::schedule::ShareDelay],
+    schedule: &[ShareDelay],
 ) -> PdChain {
     let k = vars.len();
     assert!(k >= 2, "a product needs at least two variables");
@@ -169,76 +79,9 @@ pub fn build_product_chain_pd_with_schedule(
 mod tests {
     use super::*;
     use crate::rng::MaskRng;
+    use crate::schedule::chain_delay_schedule;
+    use crate::share::MaskedBit;
     use gm_netlist::Evaluator;
-
-    #[test]
-    fn software_product_correct() {
-        let mut rng = MaskRng::new(81);
-        for k in 2..=5 {
-            for _ in 0..32 {
-                let vals: Vec<bool> = (0..k).map(|_| rng.bit()).collect();
-                let bits: Vec<MaskedBit> =
-                    vals.iter().map(|&v| MaskedBit::mask(v, &mut rng)).collect();
-                assert_eq!(product(&bits).unmask(), vals.iter().all(|&v| v));
-            }
-        }
-    }
-
-    #[test]
-    fn latency_formula() {
-        assert_eq!(ff_tree_latency(2), 2);
-        assert_eq!(ff_tree_latency(3), 3);
-        assert_eq!(ff_tree_latency(4), 3); // Fig. 4: three cycles
-        assert_eq!(ff_tree_latency(5), 4);
-        assert_eq!(ff_tree_latency(8), 4);
-    }
-
-    fn drive_ff_tree(k: usize) {
-        let mut n = Netlist::new("tree");
-        let vars: Vec<(NetId, NetId)> =
-            (0..k).map(|i| (n.input(format!("v{i}s0")), n.input(format!("v{i}s1")))).collect();
-        let tree = build_product_tree_ff(&mut n, &vars);
-        n.output("z0", tree.out.z0);
-        n.output("z1", tree.out.z1);
-        n.validate().unwrap();
-        assert_eq!(tree.gadgets, k - 1);
-
-        let mut ev = Evaluator::new(&n).unwrap();
-        let mut rng = MaskRng::new(83);
-        for _ in 0..16 {
-            let vals: Vec<bool> = (0..k).map(|_| rng.bit()).collect();
-            let bits: Vec<MaskedBit> = vals.iter().map(|&v| MaskedBit::mask(v, &mut rng)).collect();
-            ev.reset();
-            // Cycle 1: all inputs arrive, no layer enabled.
-            for (i, b) in bits.iter().enumerate() {
-                ev.set_input(vars[i].0, b.s0);
-                ev.set_input(vars[i].1, b.s1);
-            }
-            for &e in &tree.layer_enables {
-                ev.set_input(e, false);
-            }
-            ev.clock(&n);
-            // Cycle l+1: enable layer l only.
-            for (l, &e) in tree.layer_enables.iter().enumerate() {
-                for &other in &tree.layer_enables {
-                    ev.set_input(other, false);
-                }
-                ev.set_input(e, true);
-                ev.clock(&n);
-                let _ = l;
-            }
-            ev.settle(&n);
-            let z = ev.value(tree.out.z0) ^ ev.value(tree.out.z1);
-            assert_eq!(z, vals.iter().all(|&v| v), "k={k} vals={vals:?}");
-        }
-    }
-
-    #[test]
-    fn ff_tree_products_of_2_to_6() {
-        for k in 2..=6 {
-            drive_ff_tree(k);
-        }
-    }
 
     #[test]
     fn pd_chain_functional_and_sized() {
@@ -246,7 +89,7 @@ mod tests {
             let mut n = Netlist::new("chain");
             let vars: Vec<(NetId, NetId)> =
                 (0..k).map(|i| (n.input(format!("v{i}s0")), n.input(format!("v{i}s1")))).collect();
-            let chain = build_product_chain_pd(&mut n, &vars, 2);
+            let chain = build_product_chain_pd(&mut n, &vars, 2, &chain_delay_schedule(k));
             n.output("z0", chain.out.z0);
             n.output("z1", chain.out.z1);
             n.validate().unwrap();
@@ -273,9 +116,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "at least two variables")]
-    fn single_variable_tree_panics() {
-        let mut n = Netlist::new("t");
+    fn single_variable_chain_panics() {
+        let mut n = Netlist::new("c");
         let v = (n.input("a0"), n.input("a1"));
-        let _ = build_product_tree_ff(&mut n, &[v]);
+        let _ = build_product_chain_pd(&mut n, &[v], 2, &[]);
     }
 }

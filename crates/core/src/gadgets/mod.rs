@@ -1,29 +1,22 @@
-//! Masked gadgets: software models and netlist generators.
+//! The paper's masked AND gadgets, as netlist generators.
 //!
-//! Every gadget comes in two forms:
+//! [`mod@sec_and2`] (the randomness-free AND, Eq. 2) is the one gadget
+//! with a software model as well: the scalar masked S-box evaluates it,
+//! and the netlists and the bitsliced lanes are checked against it. Its hardened
+//! forms differ only in timing, so they exist only as netlists:
+//! [`sec_and2_ff`] (internal flip-flop, Fig. 2) and [`sec_and2_pd`]
+//! (path-delayed inputs, Fig. 3).
 //!
-//! 1. a **software model** operating on [`crate::MaskedBit`]s — used for
-//!    functional verification and for the fast cycle-accurate DES cores;
-//! 2. a **netlist generator** emitting `gm-netlist` gates — used for area
-//!    and timing (Table III) and for gate-level glitch simulation.
-//!
-//! The paper’s gadgets: [`mod@sec_and2`] (the randomness-free AND, Eq. 2),
-//! [`sec_and2_ff`] (internal flip-flop, Fig. 2), [`sec_and2_pd`]
-//! (path-delayed inputs, Fig. 3), plus [`xor`]/[`refresh`] linear gadgets.
-//!
-//! Baselines the paper measures against: [`trichina`] (Eq. 1) and
-//! [`dom`] (DOM-indep and DOM-dep).
+//! [`trichina`] (Eq. 1) is the baseline the paper opens with; its netlist
+//! is a fixture of the probing oracle.
 
-pub mod dom;
-pub mod refresh;
 pub mod sec_and2;
 pub mod sec_and2_ff;
 pub mod sec_and2_pd;
 pub mod trichina;
-pub mod xor;
 
 pub use sec_and2::{build_sec_and2, sec_and2};
-pub use sec_and2_ff::{build_sec_and2_ff, SecAnd2Ff};
+pub use sec_and2_ff::build_sec_and2_ff;
 pub use sec_and2_pd::{build_sec_and2_pd, PdConfig};
 
 use gm_netlist::NetId;

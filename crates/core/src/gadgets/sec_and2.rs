@@ -12,8 +12,8 @@
 //!   hardened variants are [`crate::gadgets::sec_and2_ff`] and
 //!   [`crate::gadgets::sec_and2_pd`];
 //! * the output sharing is **not independent of the inputs**, so
-//!   compositions that recombine dependent terms must refresh
-//!   (see [`crate::analysis::deps`]).
+//!   compositions that recombine dependent terms must refresh (§III-C;
+//!   the masked DES S-box refreshes its ten products for this reason).
 
 use super::{AndInputs, AndOutputs};
 use crate::share::MaskedBit;
@@ -54,12 +54,7 @@ pub fn build_sec_and2(n: &mut Netlist, io: AndInputs) -> AndOutputs {
 /// The *insecure* classical masked AND the paper opens with
 /// (`z₀ = x₀y₀ ⊕ x₀y₁`, `z₁ = x₁y₀ ⊕ x₁y₁`): `z₀` equals `x₀·y`, i.e. it
 /// depends on the **unshared** `y`. Kept as a negative control for the
-/// probing checker and the leakage experiments.
-pub fn insecure_and2(x: MaskedBit, y: MaskedBit) -> MaskedBit {
-    MaskedBit { s0: (x.s0 & y.s0) ^ (x.s0 & y.s1), s1: (x.s1 & y.s0) ^ (x.s1 & y.s1) }
-}
-
-/// Netlist for [`insecure_and2`] (negative control).
+/// probing oracle.
 pub fn build_insecure_and2(n: &mut Netlist, io: AndInputs) -> AndOutputs {
     let a = n.and2(io.x0, io.y0);
     let b = n.and2(io.x0, io.y1);
@@ -82,7 +77,6 @@ mod tests {
             let x = MaskedBit { s0: bits & 1 != 0, s1: bits & 2 != 0 };
             let y = MaskedBit { s0: bits & 4 != 0, s1: bits & 8 != 0 };
             assert_eq!(sec_and2(x, y).unmask(), x.unmask() & y.unmask(), "sharing {bits:04b}");
-            assert_eq!(insecure_and2(x, y).unmask(), x.unmask() & y.unmask());
         }
     }
 

@@ -9,64 +9,14 @@
 //! unshared `n = n₀ ⊕ n₁`, as derived in §II-C).
 
 use super::{AndInputs, AndOutputs};
-use crate::share::MaskedBit;
 use gm_netlist::{NetId, Netlist};
-
-/// Cycle-accurate software model of `secAND2-FF`.
-///
-/// Drive it like the hardware: [`SecAnd2Ff::reset`], then
-/// [`SecAnd2Ff::load_y1`] on the first cycle, then [`SecAnd2Ff::eval`] on
-/// the second. The model tracks whether the reset discipline was honoured
-/// so composition code can assert it.
-#[derive(Debug, Clone, Default)]
-pub struct SecAnd2Ff {
-    y1_reg: bool,
-    loaded: bool,
-}
-
-impl SecAnd2Ff {
-    /// A gadget fresh out of reset.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Clear the internal register (must happen between evaluations).
-    pub fn reset(&mut self) {
-        self.y1_reg = false;
-        self.loaded = false;
-    }
-
-    /// Cycle 1: capture share `y₁` into the internal flip-flop.
-    pub fn load_y1(&mut self, y1: bool) {
-        self.y1_reg = y1;
-        self.loaded = true;
-    }
-
-    /// Cycle 2: combinational evaluation with the registered `y₁`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `load_y1` has not been called since the last reset —
-    /// the discipline violation that §II-C shows to leak.
-    pub fn eval(&self, x: MaskedBit, y0: bool) -> MaskedBit {
-        assert!(self.loaded, "secAND2-FF evaluated without loading y1 (reset discipline)");
-        let y = MaskedBit { s0: y0, s1: self.y1_reg };
-        crate::gadgets::sec_and2(x, y)
-    }
-
-    /// Convenience: run the full two-cycle protocol at once.
-    pub fn and(&mut self, x: MaskedBit, y: MaskedBit) -> MaskedBit {
-        self.reset();
-        self.load_y1(y.s1);
-        self.eval(x, y.s0)
-    }
-}
 
 /// Netlist generator for `secAND2-FF` (Fig. 2).
 ///
-/// `enable` gates the internal `y₁` flip-flop: composition circuits pulse
-/// it on the cycle where `y₁` may arrive (Fig. 4's FSM control). Returns
-/// the output shares; the internal FF is the only sequential element.
+/// `enable` gates the internal `y₁` flip-flop: the FF DES core's S-box
+/// pulses it on the cycle where `y₁` may arrive (Fig. 4's FSM control).
+/// Returns the output shares; the internal FF is the only sequential
+/// element.
 pub fn build_sec_and2_ff(n: &mut Netlist, io: AndInputs, enable: NetId) -> AndOutputs {
     let y1_q = n.dff_en(io.y1, enable);
     super::sec_and2::build_sec_and2(n, AndInputs { x0: io.x0, x1: io.x1, y0: io.y0, y1: y1_q })
@@ -76,30 +26,10 @@ pub fn build_sec_and2_ff(n: &mut Netlist, io: AndInputs, enable: NetId) -> AndOu
 mod tests {
     use super::*;
     use crate::rng::MaskRng;
+    use crate::share::MaskedBit;
     use gm_netlist::Evaluator;
 
-    #[test]
-    fn two_cycle_protocol_is_correct() {
-        let mut rng = MaskRng::new(21);
-        let mut g = SecAnd2Ff::new();
-        for _ in 0..64 {
-            let (xv, yv) = (rng.bit(), rng.bit());
-            let x = MaskedBit::mask(xv, &mut rng);
-            let y = MaskedBit::mask(yv, &mut rng);
-            assert_eq!(g.and(x, y).unmask(), xv & yv);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "reset discipline")]
-    fn eval_without_load_panics() {
-        let mut g = SecAnd2Ff::new();
-        g.reset();
-        let _ = g.eval(MaskedBit::constant(true), false);
-    }
-
-    #[test]
-    fn netlist_matches_two_cycle_model() {
+    fn build() -> (Netlist, AndInputs, NetId, AndOutputs) {
         let mut n = Netlist::new("secand2ff");
         let io = AndInputs {
             x0: n.input("x0"),
@@ -112,26 +42,56 @@ mod tests {
         n.output("z0", out.z0);
         n.output("z1", out.z1);
         n.validate().unwrap();
+        (n, io, en, out)
+    }
 
+    /// Drive the two-cycle protocol from reset and read the output shares.
+    fn two_cycles(
+        ev: &mut Evaluator,
+        n: &Netlist,
+        (io, en, out): (AndInputs, NetId, AndOutputs),
+        x: MaskedBit,
+        y: MaskedBit,
+    ) -> MaskedBit {
+        ev.reset();
+        // Cycle 1: present y1 with enable high; FF captures at the edge.
+        ev.set_input(io.y1, y.s1);
+        ev.set_input(en, true);
+        ev.clock(n);
+        // Cycle 2: enable low, present the rest, read combinationally.
+        ev.set_input(en, false);
+        ev.set_input(io.x0, x.s0);
+        ev.set_input(io.x1, x.s1);
+        ev.set_input(io.y0, y.s0);
+        ev.settle(n);
+        MaskedBit { s0: ev.value(out.z0), s1: ev.value(out.z1) }
+    }
+
+    #[test]
+    fn two_cycle_protocol_is_correct() {
+        let (n, io, en, out) = build();
         let mut ev = Evaluator::new(&n).unwrap();
         let mut rng = MaskRng::new(22);
         for _ in 0..32 {
             let (xv, yv) = (rng.bit(), rng.bit());
             let x = MaskedBit::mask(xv, &mut rng);
             let y = MaskedBit::mask(yv, &mut rng);
-            ev.reset();
-            // Cycle 1: present y1 with enable high; FF captures at the edge.
-            ev.set_input(io.y1, y.s1);
-            ev.set_input(en, true);
-            ev.clock(&n);
-            // Cycle 2: enable low, present the rest, read combinationally.
-            ev.set_input(en, false);
-            ev.set_input(io.x0, x.s0);
-            ev.set_input(io.x1, x.s1);
-            ev.set_input(io.y0, y.s0);
-            ev.settle(&n);
-            let z = MaskedBit { s0: ev.value(out.z0), s1: ev.value(out.z1) };
+            let z = two_cycles(&mut ev, &n, (io, en, out), x, y);
             assert_eq!(z.unmask(), xv & yv);
+        }
+    }
+
+    #[test]
+    fn netlist_matches_two_cycle_model() {
+        // After the two cycles the gadget is plain secAND2 on the
+        // registered y1, so both output shares equal the software model's.
+        let (n, io, en, out) = build();
+        let mut ev = Evaluator::new(&n).unwrap();
+        for bits in 0..16u8 {
+            let x = MaskedBit { s0: bits & 1 != 0, s1: bits & 2 != 0 };
+            let y = MaskedBit { s0: bits & 4 != 0, s1: bits & 8 != 0 };
+            let z = two_cycles(&mut ev, &n, (io, en, out), x, y);
+            assert_eq!(z, crate::gadgets::sec_and2(x, y), "bits {bits:04b}");
         }
     }
 

@@ -15,7 +15,6 @@
 //! per-event jitter reorders arrivals (the Fig. 15 sweep).
 
 use super::{AndInputs, AndOutputs};
-use crate::share::MaskedBit;
 use gm_netlist::Netlist;
 
 /// Physical configuration of a `secAND2-PD` instance.
@@ -37,12 +36,6 @@ impl Default for PdConfig {
     }
 }
 
-/// Functional (single-cycle) software model — identical to `secAND2`;
-/// the path delays only affect *timing*, never the computed value.
-pub fn sec_and2_pd(x: MaskedBit, y: MaskedBit) -> MaskedBit {
-    crate::gadgets::sec_and2(x, y)
-}
-
 /// Netlist generator for `secAND2-PD` (Fig. 3).
 ///
 /// Delay assignment per the figure: `y₀` direct (0 DelayUnits), `x₀` and
@@ -59,18 +52,10 @@ pub fn build_sec_and2_pd(n: &mut Netlist, io: AndInputs, cfg: PdConfig) -> AndOu
 mod tests {
     use super::*;
     use crate::rng::MaskRng;
+    use crate::share::MaskedBit;
     use gm_netlist::{Evaluator, GateKind};
     use gm_sim::power::NullSink;
     use gm_sim::{DelayModel, SimCore, SimGraph};
-
-    #[test]
-    fn functional_equivalence_with_sec_and2() {
-        for bits in 0..16u8 {
-            let x = MaskedBit { s0: bits & 1 != 0, s1: bits & 2 != 0 };
-            let y = MaskedBit { s0: bits & 4 != 0, s1: bits & 8 != 0 };
-            assert_eq!(sec_and2_pd(x, y).unmask(), x.unmask() & y.unmask());
-        }
-    }
 
     fn build(cfg: PdConfig) -> (Netlist, AndInputs, AndOutputs) {
         let mut n = Netlist::new("secand2pd");
@@ -85,6 +70,24 @@ mod tests {
         n.output("z1", out.z1);
         n.validate().unwrap();
         (n, io, out)
+    }
+
+    /// The path delays change only timing: the settled outputs equal
+    /// `secAND2`'s, share for share, for every sharing.
+    #[test]
+    fn functional_equivalence_with_sec_and2() {
+        let (n, io, _) = build(PdConfig { unit_luts: 2 });
+        let mut ev = Evaluator::new(&n).unwrap();
+        for bits in 0..16u8 {
+            let x = MaskedBit { s0: bits & 1 != 0, s1: bits & 2 != 0 };
+            let y = MaskedBit { s0: bits & 4 != 0, s1: bits & 8 != 0 };
+            let outs = ev.run_combinational(
+                &n,
+                &[(io.x0, x.s0), (io.x1, x.s1), (io.y0, y.s0), (io.y1, y.s1)],
+            );
+            let want = crate::gadgets::sec_and2(x, y);
+            assert_eq!((outs[0], outs[1]), (want.s0, want.s1), "sharing {bits:04b}");
+        }
     }
 
     #[test]

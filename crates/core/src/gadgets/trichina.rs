@@ -12,22 +12,12 @@
 //! 2 XOR + 1 INV), which is `secAND2`'s other advantage.
 
 use super::{AndInputs, AndOutputs};
-use crate::rng::MaskRng;
-use crate::share::MaskedBit;
 use gm_netlist::{NetId, Netlist};
-
-/// Software model with the mandated left-to-right evaluation order.
-pub fn trichina_and(x: MaskedBit, y: MaskedBit, rng: &mut MaskRng) -> MaskedBit {
-    let r = rng.bit();
-    // Parenthesised exactly as the secure order demands.
-    let z0 = ((((r ^ (x.s0 & y.s0)) ^ (x.s0 & y.s1)) ^ (x.s1 & y.s1)) ^ (x.s1 & y.s0),);
-    MaskedBit { s0: z0.0, s1: r }
-}
 
 /// Netlist generator. `r` is the fresh-randomness input net. The XOR
 /// chain is emitted in the secure order, but **glitches make the
-/// hardware order undefined** — this netlist exists as the negative
-/// control / baseline for area and leakage comparisons.
+/// hardware order undefined** — this netlist is a fixture of the probing
+/// oracle's tests.
 pub fn build_trichina_and(n: &mut Netlist, io: AndInputs, r: NetId) -> AndOutputs {
     let p00 = n.and2(io.x0, io.y0);
     let p01 = n.and2(io.x0, io.y1);
@@ -45,30 +35,7 @@ mod tests {
     use super::*;
     use gm_netlist::Evaluator;
 
-    #[test]
-    fn correct_for_all_sharings() {
-        let mut rng = MaskRng::new(51);
-        for bits in 0..16u8 {
-            let x = MaskedBit { s0: bits & 1 != 0, s1: bits & 2 != 0 };
-            let y = MaskedBit { s0: bits & 4 != 0, s1: bits & 8 != 0 };
-            assert_eq!(trichina_and(x, y, &mut rng).unmask(), x.unmask() & y.unmask());
-        }
-    }
-
-    #[test]
-    fn output_mask_is_the_fresh_bit() {
-        // With the PRNG disabled, z1 must be 0 and z0 the plain product of
-        // recombined shares.
-        let mut rng = MaskRng::disabled();
-        let x = MaskedBit { s0: true, s1: true }; // x = 0
-        let y = MaskedBit { s0: true, s1: false }; // y = 1
-        let z = trichina_and(x, y, &mut rng);
-        assert!(!z.s1);
-        assert!(!z.unmask());
-    }
-
-    #[test]
-    fn netlist_matches_model() {
+    fn build() -> (Netlist, AndInputs, NetId, AndOutputs) {
         let mut n = Netlist::new("trichina");
         let io = AndInputs {
             x0: n.input("x0"),
@@ -81,8 +48,29 @@ mod tests {
         n.output("z0", out.z0);
         n.output("z1", out.z1);
         n.validate().unwrap();
-        assert_eq!(n.num_gates(), 8, "4 AND + 4 XOR");
+        (n, io, r, out)
+    }
 
+    #[test]
+    fn netlist_matches_model() {
+        // Both output shares equal Eq. 1 evaluated bit by bit.
+        let (n, io, r, _) = build();
+        assert_eq!(n.num_gates(), 8, "4 AND + 4 XOR");
+        let mut ev = Evaluator::new(&n).unwrap();
+        for bits in 0..32u8 {
+            let [x0, x1, y0, y1, rv] = [1, 2, 4, 8, 16].map(|m| bits & m != 0);
+            let outs = ev.run_combinational(
+                &n,
+                &[(io.x0, x0), (io.x1, x1), (io.y0, y0), (io.y1, y1), (r, rv)],
+            );
+            let z0 = rv ^ (x0 & y0) ^ (x0 & y1) ^ (x1 & y1) ^ (x1 & y0);
+            assert_eq!(outs, vec![z0, rv], "bits {bits:05b}");
+        }
+    }
+
+    #[test]
+    fn correct_for_all_sharings() {
+        let (n, io, r, _) = build();
         let mut ev = Evaluator::new(&n).unwrap();
         for bits in 0..32u8 {
             let outs = ev.run_combinational(
@@ -99,5 +87,20 @@ mod tests {
             let y = (bits & 4 != 0) ^ (bits & 8 != 0);
             assert_eq!(outs[0] ^ outs[1], x & y, "bits {bits:05b}");
         }
+    }
+
+    #[test]
+    fn output_mask_is_the_fresh_bit() {
+        // z1 is the fresh bit itself, so with r = 0 z0 carries the plain
+        // product of the recombined shares.
+        let (n, io, r, out) = build();
+        assert_eq!(out.z1, r);
+        let mut ev = Evaluator::new(&n).unwrap();
+        // x = (1, 1) = 0, y = (1, 0) = 1.
+        let outs = ev.run_combinational(
+            &n,
+            &[(io.x0, true), (io.x1, true), (io.y0, true), (io.y1, false), (r, false)],
+        );
+        assert_eq!(outs, vec![false, false]);
     }
 }

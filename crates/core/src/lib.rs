@@ -6,17 +6,16 @@
 //! * [`share`] — two-share Boolean masking of bits and words.
 //! * [`rng`] — the masking/refresh randomness source, with the "PRNG off"
 //!   switch used for the paper's sanity-check experiments.
-//! * [`gadgets`] — software models *and* netlist generators for
-//!   `secAND2` (Eq. 2), `secAND2-FF` (Fig. 2), `secAND2-PD` (Fig. 3),
-//!   masked XOR/NOT, the refresh gadget (Fig. 7), and the baselines the
-//!   paper compares against: Trichina's AND (Eq. 1), DOM-indep and
-//!   DOM-dep.
+//! * [`gadgets`] — netlist generators for `secAND2` (Eq. 2),
+//!   `secAND2-FF` (Fig. 2) and `secAND2-PD` (Fig. 3), `secAND2`'s
+//!   software model, and two probing fixtures: Trichina's AND (Eq. 1)
+//!   and the insecure classical AND.
+//! * [`bitslice`] — the share algebra and `secAND2` on 256-lane words,
+//!   for the bitsliced cycle model.
 //! * [`schedule`] — input arrival sequences (Table I) and DelayUnit
 //!   schedules (Table II).
-//! * [`compose`] — product trees (Fig. 4), product chains (Fig. 6), and
-//!   the shared-input-register form (Fig. 5).
-//! * [`analysis`] — share-dependency tracking (when must one refresh,
-//!   §III-C) and the exact first-order probing oracle, stationary and
+//! * [`compose`] — the single-cycle PD product chain (Fig. 6).
+//! * [`analysis`] — the exact first-order probing oracle, stationary and
 //!   glitch-extended, that decides Table I.
 
 #![forbid(unsafe_code)]

@@ -46,11 +46,6 @@ impl MaskRng {
         }
     }
 
-    /// Whether randomness is being produced.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Lifetime count of 64-bit PRNG words drawn from this stream (0
     /// under `obs-off`; forks start their own count at 0).
     pub fn obs_words_drawn(&self) -> u64 {
@@ -149,7 +144,6 @@ mod tests {
     #[test]
     fn disabled_is_all_zero() {
         let mut r = MaskRng::disabled();
-        assert!(!r.is_enabled());
         assert!((0..100).all(|_| !r.bit()));
         assert_eq!(r.bits(64), 0);
     }

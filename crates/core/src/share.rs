@@ -50,14 +50,9 @@ impl MaskedBit {
         self.xor_const(true)
     }
 
-    /// Re-mask with a fresh random bit (the refresh gadget of Fig. 7).
-    pub fn refresh(self, rng: &mut MaskRng) -> Self {
-        self.refresh_with(rng.bit())
-    }
-
-    /// Re-mask with an explicitly supplied fresh bit (for designs that
-    /// budget and recycle their randomness, like the paper's 14-bit
-    /// per-round pool).
+    /// Re-mask with the fresh bit `m` (the refresh gadget of Fig. 7).
+    /// Callers supply the bit so that designs can budget and recycle
+    /// their randomness, like the paper's 14-bit per-round pool.
     pub fn refresh_with(self, m: bool) -> Self {
         MaskedBit { s0: self.s0 ^ m, s1: self.s1 ^ m }
     }
@@ -196,7 +191,7 @@ mod tests {
         let mut changed = false;
         let mut cur = b;
         for _ in 0..64 {
-            cur = cur.refresh(&mut rng);
+            cur = cur.refresh_with(rng.bit());
             assert!(cur.unmask());
             changed |= cur.s0 != b.s0;
         }

@@ -1,13 +1,11 @@
-//! Property-based tests for the masking core: every gadget computes the
-//! right value for *every* sharing, compositions stay correct, and the
-//! netlist generators agree with the software models.
+//! Property-based tests for the masking core: `secAND2` computes the
+//! right value for *every* sharing, the product chain stays correct, and
+//! the netlist generator agrees with the software model.
 
-use gm_core::analysis::deps::MaskedExpr;
-use gm_core::compose::{build_product_chain_pd, build_product_tree_ff, product};
-use gm_core::gadgets::dom::{dom_dep_and, DomIndep};
+use gm_core::compose::build_product_chain_pd;
 use gm_core::gadgets::sec_and2::{build_sec_and2, sec_and2};
-use gm_core::gadgets::trichina::trichina_and;
 use gm_core::gadgets::AndInputs;
+use gm_core::schedule::chain_delay_schedule;
 use gm_core::{MaskRng, MaskedBit, MaskedWord};
 use gm_netlist::{Evaluator, NetId, Netlist};
 use proptest::prelude::*;
@@ -19,25 +17,10 @@ fn masked_bit() -> impl Strategy<Value = MaskedBit> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// All AND gadgets agree with plain AND for any sharing and any
-    /// randomness stream.
+    /// `secAND2` agrees with plain AND for any sharing.
     #[test]
-    fn every_and_gadget_is_correct(x in masked_bit(), y in masked_bit(), seed in any::<u64>()) {
-        let want = x.unmask() & y.unmask();
-        let mut rng = MaskRng::new(seed);
-        prop_assert_eq!(sec_and2(x, y).unmask(), want);
-        prop_assert_eq!(trichina_and(x, y, &mut rng).unmask(), want);
-        prop_assert_eq!(DomIndep::and(x, y, &mut rng).unmask(), want);
-        prop_assert_eq!(dom_dep_and(x, y, &mut rng).unmask(), want);
-    }
-
-    /// Masked products of arbitrary width and sharing.
-    #[test]
-    fn product_correct(vals in prop::collection::vec(any::<bool>(), 1..8), seed in any::<u64>()) {
-        let mut rng = MaskRng::new(seed);
-        let bits: Vec<MaskedBit> =
-            vals.iter().map(|&v| MaskedBit::mask(v, &mut rng)).collect();
-        prop_assert_eq!(product(&bits).unmask(), vals.iter().all(|&v| v));
+    fn every_and_gadget_is_correct(x in masked_bit(), y in masked_bit()) {
+        prop_assert_eq!(sec_and2(x, y).unmask(), x.unmask() & y.unmask());
     }
 
     /// Refresh never changes the value, for any mask bit.
@@ -93,7 +76,7 @@ proptest! {
         let vars: Vec<(NetId, NetId)> = (0..vals.len())
             .map(|i| (n.input(format!("a{i}")), n.input(format!("b{i}"))))
             .collect();
-        let chain = build_product_chain_pd(&mut n, &vars, unit);
+        let chain = build_product_chain_pd(&mut n, &vars, unit, &chain_delay_schedule(vals.len()));
         n.output("z0", chain.out.z0);
         n.output("z1", chain.out.z1);
         let mut rng = MaskRng::new(seed);
@@ -106,31 +89,6 @@ proptest! {
         }
         let outs = ev.run_combinational(&n, &pins);
         prop_assert_eq!(outs[0] ^ outs[1], vals.iter().all(|&v| v));
-    }
-
-    /// FF trees of any width have n-1 gadgets and the promised latency.
-    #[test]
-    fn ff_tree_structure(width in 2usize..9) {
-        let mut n = Netlist::new("tree");
-        let vars: Vec<(NetId, NetId)> = (0..width)
-            .map(|i| (n.input(format!("a{i}")), n.input(format!("b{i}"))))
-            .collect();
-        let tree = build_product_tree_ff(&mut n, &vars);
-        prop_assert_eq!(tree.gadgets, width - 1);
-        prop_assert_eq!(tree.latency_cycles, gm_core::compose::ff_tree_latency(width));
-        prop_assert!(n.validate().is_ok());
-    }
-
-    /// Dependency checker: any expression rejected for a shared variable
-    /// is accepted once the AND side is refreshed.
-    #[test]
-    fn refresh_always_repairs(a in 0u32..4, b in 0u32..4) {
-        let bad = MaskedExpr::var(a).xor(MaskedExpr::var(a).and(MaskedExpr::var(b)));
-        prop_assert!(bad.check().is_err());
-        let good = MaskedExpr::var(a).xor(
-            MaskedExpr::var(a).and(MaskedExpr::var(b)).refresh(),
-        );
-        prop_assert!(good.check().is_ok());
     }
 
     /// Masking with an enabled RNG yields uniform share 0 (statistical

@@ -108,15 +108,6 @@ impl MaskedDes {
         MaskedDes { key, recycle_randomness: true }
     }
 
-    /// Fresh random bits consumed per round by this configuration.
-    pub fn fresh_bits_per_round(&self) -> usize {
-        if self.recycle_randomness {
-            SboxRandomness::BITS
-        } else {
-            8 * SboxRandomness::BITS
-        }
-    }
-
     /// Encrypt one block in the masked domain; `rng` supplies the initial
     /// masks and the per-round refresh bits.
     pub fn encrypt_block(&self, plaintext: u64, rng: &mut MaskRng) -> u64 {
@@ -202,7 +193,6 @@ mod tests {
         let mut rng = MaskRng::new(123);
         let mut masked = MaskedDes::new(0x0E329232EA6D0D73);
         masked.recycle_randomness = false;
-        assert_eq!(masked.fresh_bits_per_round(), 112);
         assert_eq!(masked.encrypt_block(0x8787878787878787, &mut rng), 0);
     }
 

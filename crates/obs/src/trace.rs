@@ -259,13 +259,18 @@ pub use off::{
 /// Serialize recorded events as Chrome trace-event JSON (the
 /// `{"traceEvents": [...]}` object form; load in `chrome://tracing` or
 /// <https://ui.perfetto.dev>). Begin/end edges become `ph: "B"/"E"`
-/// records; timestamps are microseconds with nanosecond decimals.
+/// records; timestamps are microseconds with nanosecond decimals. The
+/// top-level `dropped_events` member is [`dropped_events`] at the time of
+/// the call, so a trace that lost spans at the [`MAX_EVENTS`] cap says so
+/// in the file itself.
 ///
 /// Always compiled so `--trace-out` plumbing works under `obs-off` too
 /// (the file then just holds an empty `traceEvents` array).
 pub fn chrome_trace_json(events: &[SpanEvent]) -> String {
-    let mut out = String::with_capacity(64 + events.len() * 80);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+    let mut out = String::with_capacity(96 + events.len() * 80);
+    out.push_str("{\"displayTimeUnit\":\"ms\",\"dropped_events\":");
+    out.push_str(&dropped_events().to_string());
+    out.push_str(",\"traceEvents\":[");
     for (i, e) in events.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -295,7 +300,9 @@ mod tests {
             SpanEvent { name: "tvla.block", tid: 1, ts_ns: 2_750_250, begin: false },
         ];
         let json = chrome_trace_json(&events);
-        assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
+        assert!(
+            json.starts_with("{\"displayTimeUnit\":\"ms\",\"dropped_events\":0,\"traceEvents\":[")
+        );
         assert!(json.contains("\"name\":\"tvla.block\",\"cat\":\"glitchmask\",\"ph\":\"B\""));
         assert!(json.contains("\"ph\":\"E\",\"pid\":1,\"tid\":1,\"ts\":2750.250"));
         assert!(json.contains("\"ts\":1.500"));
@@ -304,7 +311,10 @@ mod tests {
 
     #[test]
     fn chrome_json_empty_capture() {
-        assert_eq!(chrome_trace_json(&[]), "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n]}\n");
+        assert_eq!(
+            chrome_trace_json(&[]),
+            "{\"displayTimeUnit\":\"ms\",\"dropped_events\":0,\"traceEvents\":[\n]}\n"
+        );
     }
 
     #[cfg(not(feature = "obs-off"))]

@@ -87,12 +87,6 @@ impl DelayModel {
         self.pulse_reject_ps
     }
 
-    /// Override the inertial pulse-rejection width (0 = pure transport).
-    pub fn set_pulse_reject_ps(&mut self, width: u64) {
-        self.pulse_reject_ps = width;
-        self.reject_ps.iter_mut().for_each(|r| *r = width);
-    }
-
     /// Inertial pulse-rejection threshold of one gate instance in ps.
     #[inline]
     pub fn pulse_reject_of(&self, gate: GateId) -> u64 {
@@ -435,14 +429,10 @@ mod tests {
     #[test]
     fn per_gate_reject_table_follows_override() {
         let n = tiny();
-        let mut m = DelayModel::nominal(&n);
+        let m = DelayModel::nominal(&n);
+        assert_eq!(m.pulse_reject_ps(), DEFAULT_PULSE_REJECT_PS);
         for g in [GateId(0), GateId(1)] {
             assert_eq!(m.pulse_reject_of(g), DEFAULT_PULSE_REJECT_PS);
-        }
-        m.set_pulse_reject_ps(55);
-        assert_eq!(m.pulse_reject_ps(), 55);
-        for g in [GateId(0), GateId(1)] {
-            assert_eq!(m.pulse_reject_of(g), 55);
         }
     }
 

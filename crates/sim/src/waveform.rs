@@ -1,11 +1,9 @@
 //! Full waveform recording with glitch-oriented queries.
 //!
 //! Where [`crate::PowerTrace`] aggregates activity into power samples,
-//! a [`WaveformRecorder`] keeps every transition of every watched net so
-//! you can interrogate the simulation like a logic analyser: value at a
-//! time, toggle counts in a window, pulse widths — and, the query this
-//! workspace exists for, *glitch detection*: pulses narrower than a
-//! threshold that a zero-delay analysis would never show.
+//! a [`WaveformRecorder`] keeps every transition of every watched net for
+//! *glitch detection*: pulses narrower than a threshold that a zero-delay
+//! analysis would never show.
 
 use crate::engine::PowerSink;
 use gm_netlist::NetId;
@@ -13,49 +11,18 @@ use gm_netlist::NetId;
 /// Records `(time, new_value)` transitions per net.
 #[derive(Debug, Clone)]
 pub struct WaveformRecorder {
-    initial: Vec<bool>,
     transitions: Vec<Vec<(u64, bool)>>,
 }
 
 impl WaveformRecorder {
-    /// Recorder for a design with `num_nets` nets, all initially
-    /// `initial_values[i]` (pass the post-reset settle state).
-    pub fn new(initial_values: Vec<bool>) -> Self {
-        WaveformRecorder {
-            transitions: vec![Vec::new(); initial_values.len()],
-            initial: initial_values,
-        }
-    }
-
-    /// Recorder with all-zero initial state.
-    pub fn all_zero(num_nets: usize) -> Self {
-        Self::new(vec![false; num_nets])
+    /// An empty recorder for a design with `num_nets` nets.
+    pub fn new(num_nets: usize) -> Self {
+        WaveformRecorder { transitions: vec![Vec::new(); num_nets] }
     }
 
     /// The recorded transitions of one net.
     pub fn transitions(&self, net: NetId) -> &[(u64, bool)] {
         &self.transitions[net.index()]
-    }
-
-    /// Value of `net` at time `t` (after applying all transitions ≤ t).
-    pub fn value_at(&self, net: NetId, t: u64) -> bool {
-        let trs = &self.transitions[net.index()];
-        match trs.partition_point(|&(time, _)| time <= t) {
-            0 => self.initial[net.index()],
-            k => trs[k - 1].1,
-        }
-    }
-
-    /// Number of transitions of `net` inside `[from, to)`.
-    pub fn toggles_in(&self, net: NetId, from: u64, to: u64) -> usize {
-        let trs = &self.transitions[net.index()];
-        trs.partition_point(|&(t, _)| t < to) - trs.partition_point(|&(t, _)| t < from)
-    }
-
-    /// Widths of all complete pulses of `net` (time between consecutive
-    /// transitions), in order.
-    pub fn pulse_widths(&self, net: NetId) -> Vec<u64> {
-        self.transitions[net.index()].windows(2).map(|w| w[1].0 - w[0].0).collect()
     }
 
     /// Glitch query: pulses of `net` narrower than `max_width_ps`.
@@ -112,7 +79,7 @@ mod tests {
         let delays = DelayModel::nominal(&n);
         let g = SimGraph::new(&n);
         let mut sim = SimCore::new(&g, 0);
-        let mut rec = WaveformRecorder::all_zero(n.num_nets());
+        let mut rec = WaveformRecorder::new(n.num_nets());
         sim.schedule(a, 1_000, true);
         sim.schedule(b, 1_000, true);
         sim.run_until(&g, &delays, 50_000, &mut rec);
@@ -122,22 +89,21 @@ mod tests {
     #[test]
     fn records_and_queries_values() {
         let (_, y, rec) = record_glitchy_xor();
-        assert!(!rec.value_at(y, 0), "initial 0");
-        // Steady state: (1&1) ^ (1|1) = 0.
-        assert!(!rec.value_at(y, 49_999));
-        // But it pulsed in between.
-        assert_eq!(rec.transitions(y).len(), 2, "rise then fall");
-        assert!(rec.value_at(y, rec.transitions(y)[0].0), "high during the pulse");
+        // Steady state: (1&1) ^ (1|1) = 0, but y pulsed in between.
+        let trs = rec.transitions(y);
+        assert_eq!(trs.len(), 2, "rise then fall");
+        assert_eq!((trs[0].1, trs[1].1), (true, false));
+        assert!(trs[0].0 > 1_000 && trs[0].0 < trs[1].0);
     }
 
     #[test]
     fn glitch_detection() {
         let (_, y, rec) = record_glitchy_xor();
-        let pulses = rec.pulse_widths(y);
+        let pulses = rec.glitches(y, 1_000);
         assert_eq!(pulses.len(), 1);
         // The pulse is about two buffer delays (350 ps each) wide.
-        assert!((200..=700).contains(&pulses[0]), "width {}", pulses[0]);
-        assert_eq!(rec.glitches(y, 1_000).len(), 1);
+        let width = pulses[0].1 - pulses[0].0;
+        assert!((200..=700).contains(&width), "width {width}");
         assert!(rec.glitches(y, 100).is_empty(), "not narrower than 100 ps");
         let summary = rec.glitch_summary(1_000);
         assert!(summary.iter().any(|&(net, c)| net == y && c == 1));
@@ -145,11 +111,12 @@ mod tests {
 
     #[test]
     fn toggle_window_counts() {
-        let (_, y, rec) = record_glitchy_xor();
+        let (n, y, rec) = record_glitchy_xor();
         let total = rec.total_transitions();
         assert!(total >= 6, "a,b,p,q0..q,y all move: {total}");
-        let (start, end) = (rec.transitions(y)[0].0, rec.transitions(y)[1].0);
-        assert_eq!(rec.toggles_in(y, start, end + 1), 2);
-        assert_eq!(rec.toggles_in(y, end + 1, 50_000), 0);
+        let per_net: usize =
+            (0..n.num_nets()).map(|i| rec.transitions(NetId(i as u32)).len()).sum();
+        assert_eq!(per_net, total);
+        assert_eq!(rec.transitions(y).len(), 2);
     }
 }

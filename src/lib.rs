@@ -12,8 +12,8 @@
 //! * [`leakage`] — streaming TVLA (Welch t-tests of orders 1–3), SNR, and
 //!   leak detection;
 //! * [`masking`] — the paper's contribution: `secAND2`, `secAND2-FF`,
-//!   `secAND2-PD`, refresh gadgets, baselines (Trichina/DOM), and
-//!   composition rules;
+//!   `secAND2-PD`, the single-cycle PD product chain with its delay
+//!   schedules, and the exact probing oracle;
 //! * [`des`] — reference DES and the two first-order masked DES cores.
 //!
 //! See `examples/quickstart.rs` for a guided tour.
