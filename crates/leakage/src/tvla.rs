@@ -7,10 +7,11 @@
 //! A campaign is cut into chunks of 16 384 traces (and at every
 //! checkpoint). Chunk `i` acquires on its own fork `source.fork(i)` (its
 //! own simulated "device" RNG streams) with class labels drawn from an
-//! RNG keyed by `(seed, i)`. Worker threads take chunks as they become
-//! idle, and the coordinating thread merges the chunks' per-class moment
-//! accumulators in chunk order, so a campaign's result depends on the
-//! seed, the trace count and the checkpoints, not on the thread count.
+//! RNG keyed by `(seed, i)`. Each worker thread claims the next chunk
+//! when it becomes idle and forks that chunk's source itself, and the
+//! calling thread merges the chunks' per-class moment accumulators in
+//! chunk order, so a campaign's result depends on the seed, the trace
+//! count and the checkpoints, not on the thread count.
 
 use crate::moments::{BlockScratch, TraceMoments};
 use crate::ttest::{t_first_order, t_second_order, t_third_order};
@@ -18,7 +19,7 @@ use gm_obs::{Counter, LogHist, Report, Stopwatch, Timer, HIST_BUCKETS};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex};
 
 /// TVLA trace class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,11 +46,14 @@ pub enum BlockLayout {
 ///
 /// Implementors wrap a simulated device (gadget test-bench, masked DES
 /// core, …). A source is *stateful*: consecutive calls may share device
-/// state, exactly like consecutive acquisitions on a real target.
-pub trait TraceSource: Send {
+/// state, exactly like consecutive acquisitions on a real target. A
+/// campaign never acquires on the prototype it is given: its worker
+/// threads share it (hence `Sync`) and each forks its own copy per chunk.
+pub trait TraceSource: Send + Sync {
     /// Create an independent copy for campaign chunk `stream` (distinct
-    /// RNG streams, same circuit); its output must depend only on the
-    /// prototype and `stream`.
+    /// RNG streams, same circuit). Campaign workers call this on the
+    /// shared prototype concurrently, each on its own thread; the copy's
+    /// output must depend only on the prototype and `stream`.
     fn fork(&self, stream: u64) -> Self
     where
         Self: Sized;
@@ -360,9 +364,9 @@ enum WorkerMsg {
     /// Chunk `chunk`'s partial result at a block boundary that crossed
     /// a multiple of the streaming cadence.
     Snapshot { chunk: u64, partial: TvlaResult },
-    /// Worker `worker` finished chunk `chunk` and dropped its source:
-    /// the chunk's partial result and the source's counters.
-    Done { worker: usize, chunk: u64, partial: TvlaResult, report: Report },
+    /// A worker finished chunk `chunk` and dropped its source: the
+    /// chunk's partial result and the source's counters.
+    Done { chunk: u64, partial: TvlaResult, report: Report },
 }
 
 /// Per-worker acquisition workspace: the class-label block, the two
@@ -517,13 +521,13 @@ impl Campaign {
             .expect("single checkpoint provided")
     }
 
-    /// The shared campaign engine behind every entry point. The calling
-    /// thread coordinates `threads` scoped workers: it forks each chunk's
-    /// source (the trait only promises `Send`, so workers cannot share
-    /// the prototype) and hands it to the next idle worker, and it merges
-    /// the chunks' partial results strictly in chunk order. `stream`
-    /// carries the progress cadence and sink when live convergence
-    /// streaming is on.
+    /// The shared campaign engine behind every entry point. Each of the
+    /// `threads` scoped workers claims the next chunk from one shared
+    /// lazy plan, forks that chunk's source itself and drops it before it
+    /// claims another. The calling thread only merges the chunks' partial
+    /// results, strictly in chunk order, and runs the checkpoints.
+    /// `stream` carries the progress cadence and sink when live
+    /// convergence streaming is on.
     fn run_engine<S: TraceSource>(
         &self,
         source: &S,
@@ -542,24 +546,29 @@ impl Campaign {
         let threads = self.threads.max(1);
         let num_samples = source.num_samples();
         let (seed, every) = (self.seed, stream.as_ref().map(|&(every, _)| every));
+        let to_merge = plan_chunks(chunk_ends).zip(0u64..);
+        let plan = Mutex::new(Some(to_merge.clone()));
 
         std::thread::scope(|scope| {
-            // Bounded channels keep the pool's heap flat: the orders are
-            // a rendezvous, so a forked source waits on the coordinator's
-            // stack, not in a channel buffer.
+            // Bounded, so the pool's heap stays flat.
             let (tx, rx) = mpsc::sync_channel::<WorkerMsg>(threads);
-            let mut orders = Vec::with_capacity(threads);
             let mut workers = Vec::with_capacity(threads);
             for w in 0..threads {
-                let (order_tx, order_rx) = mpsc::sync_channel::<(u64, (u64, u64), S)>(0);
-                let tx = tx.clone();
+                let (tx, plan) = (tx.clone(), &plan);
                 workers.push(scope.spawn(move || {
+                    // However this worker retires, a panic in its
+                    // source included, no chunk is claimed after it.
+                    let _stop = StopPlan(plan);
                     let mut bufs = AcquireBufs::new(num_samples);
                     let mut tally = WorkerTally::default();
-                    while let Ok((chunk, (start, end), mut src)) = order_rx.recv() {
+                    while let Some(((start, end, _), chunk)) = claim(plan) {
+                        // Boxed: with the source in this frame instead,
+                        // `fig17-pd-stream` ran ~15 % slower on a 2-vCPU
+                        // Xeon VM (same code, other placement of its state).
+                        let mut src = Box::new(source.fork(chunk));
                         let mut partial = TvlaResult::new(num_samples);
                         acquire_chunk(
-                            &mut src,
+                            &mut *src,
                             &mut chunk_rng(seed, chunk),
                             end - start,
                             num_samples,
@@ -579,8 +588,7 @@ impl Campaign {
                         src.obs_report(&mut report);
                         // A worker holds one source at a time.
                         drop(src);
-                        let done = WorkerMsg::Done { worker: w, chunk, partial, report };
-                        if tx.send(done).is_err() {
+                        if tx.send(WorkerMsg::Done { chunk, partial, report }).is_err() {
                             break;
                         }
                     }
@@ -590,23 +598,8 @@ impl Campaign {
                     gm_obs::trace::flush_thread();
                     tally.snapshot(w)
                 }));
-                orders.push(order_tx);
             }
             drop(tx);
-
-            // Hand worker `w` the next chunk; once none is left, closing
-            // the order channels retires each worker after its chunk.
-            let mut to_send = plan_chunks(chunk_ends).zip(0u64..);
-            let to_merge = to_send.clone();
-            let mut dispatch = |w: usize| match to_send.next() {
-                Some(((start, end, _), chunk)) => {
-                    let _ = orders[w].send((chunk, (start, end), source.fork(chunk)));
-                }
-                None => orders.clear(),
-            };
-            for w in 0..threads {
-                dispatch(w);
-            }
 
             // Merge strictly in chunk order, whatever order the chunks
             // finish in: floating-point moment merges do not commute bit
@@ -622,12 +615,11 @@ impl Campaign {
                     let msg = match held.get_mut(&chunk).and_then(VecDeque::pop_front) {
                         Some(msg) => msg,
                         None => {
-                            let msg = rx.recv().expect("campaign worker panicked");
+                            // Every worker is gone before its chunks are:
+                            // one panicked, and joining it re-raises that.
+                            let Ok(msg) = rx.recv() else { break 'merge };
                             let (WorkerMsg::Snapshot { chunk: of, .. }
                             | WorkerMsg::Done { chunk: of, .. }) = msg;
-                            if let WorkerMsg::Done { worker, .. } = msg {
-                                dispatch(worker);
-                            }
                             if of != chunk {
                                 held.entry(of).or_default().push_back(msg);
                                 continue;
@@ -652,14 +644,27 @@ impl Campaign {
                                 result.merge(&partial);
                             }
                             source_report.merge(&report);
-                            if is_checkpoint && !checkpoint(end, &result) {
-                                break 'merge;
+                            if is_checkpoint {
+                                // Decided with the plan locked, so no chunk
+                                // is claimed after a `false`.
+                                let mut plan = plan.lock().expect("chunk plan lock");
+                                if !checkpoint(end, &result) {
+                                    *plan = None;
+                                    break 'merge;
+                                }
                             }
                             break;
                         }
                     }
                 }
             }
+            // Closing the channel retires the workers; a stopped
+            // campaign's in-flight chunks finish and are discarded.
+            drop(rx);
+            let workers = workers
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect();
             // The last snapshot a streaming campaign delivers is exactly
             // the result the campaign returns.
             if let Some((_, on_progress)) = stream.as_mut() {
@@ -667,13 +672,6 @@ impl Campaign {
                     on_progress(&result);
                 }
             }
-            // Closing the channels retires the workers; a stopped
-            // campaign's in-flight chunks finish and are discarded.
-            drop((orders, rx));
-            let workers = workers
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect();
             let obs =
                 CampaignObs { wall_ns: wall.elapsed_ns(), threads, workers, source: source_report };
             Some((result, obs))
@@ -681,9 +679,28 @@ impl Campaign {
     }
 }
 
+/// The next chunk of a shared plan, `None` once it is used up or stopped.
+fn claim<I: Iterator>(plan: &Mutex<Option<I>>) -> Option<I::Item> {
+    plan.lock().ok()?.as_mut()?.next()
+}
+
+/// Stops a shared chunk plan when dropped.
+struct StopPlan<'a, I>(&'a Mutex<Option<I>>);
+
+impl<I> Drop for StopPlan<'_, I> {
+    fn drop(&mut self) {
+        if let Ok(mut plan) = self.0.lock() {
+            *plan = None;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::thread::ThreadId;
 
     /// A synthetic device leaking `class` into sample 1 only.
     #[derive(Clone)]
@@ -982,6 +999,122 @@ mod tests {
     fn zero_cadence_panics() {
         let c = Campaign::sequential(100, 1);
         let _ = c.run_streamed_observed(&LeakyToy::new(0.0), 0, |_| {}).0;
+    }
+
+    /// Wait until `gate` opens, or 2 s have passed.
+    fn wait_for(gate: &AtomicBool) {
+        let waited = std::time::Instant::now();
+        while !gate.load(Ordering::SeqCst) && waited.elapsed().as_secs() < 2 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    /// A toy that logs which thread forked each stream. With a `gate`,
+    /// forks of every stream but 0 wait (up to 2 s) until it opens. With
+    /// `panics`, stream 0 panics in its 101st trace and opens the gate as
+    /// its source is dropped: the panic hook may take long (a backtrace),
+    /// and the plan stops only as the worker unwinds.
+    struct ForkLog {
+        inner: LeakyToy,
+        forks: Arc<Mutex<Vec<(u64, ThreadId)>>>,
+        gate: Option<Arc<AtomicBool>>,
+        panics: bool,
+        stream: u64,
+        traces: u64,
+    }
+
+    impl ForkLog {
+        fn new(gate: Option<Arc<AtomicBool>>, panics: bool) -> Self {
+            let inner = LeakyToy::new(0.0);
+            ForkLog { inner, forks: Arc::default(), gate, panics, stream: u64::MAX, traces: 0 }
+        }
+
+        fn forks(&self) -> Vec<(u64, ThreadId)> {
+            self.forks.lock().unwrap().clone()
+        }
+    }
+
+    impl TraceSource for ForkLog {
+        fn fork(&self, stream: u64) -> Self {
+            if let Some(gate) = self.gate.as_ref().filter(|_| stream > 0) {
+                wait_for(gate);
+            }
+            self.forks.lock().unwrap().push((stream, std::thread::current().id()));
+            let (forks, gate) = (self.forks.clone(), self.gate.clone());
+            let inner = self.inner.fork(stream);
+            ForkLog { inner, forks, gate, panics: self.panics, stream, traces: 0 }
+        }
+        fn num_samples(&self) -> usize {
+            self.inner.num_samples()
+        }
+        fn trace(&mut self, class: Class, out: &mut [f64]) {
+            self.traces += 1;
+            if self.panics && self.stream == 0 && self.traces > 100 {
+                panic!("toy source failed");
+            }
+            self.inner.trace(class, out);
+        }
+    }
+
+    impl Drop for ForkLog {
+        fn drop(&mut self) {
+            if let Some(gate) = self.gate.as_ref().filter(|_| self.panics && self.stream == 0) {
+                gate.store(true, Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// Workers fork their own chunks: none on the calling thread, and
+    /// each of the five chunks exactly once.
+    #[test]
+    fn workers_fork_each_chunk_once() {
+        for threads in [1, 3] {
+            let toy = ForkLog::new(None, false);
+            let traces = 4 * CHUNK_TRACES + 100;
+            let r = Campaign { traces, threads, seed: 3 }.run(&toy);
+            assert_eq!(r.total_traces(), traces);
+            let forks = toy.forks();
+            let me = std::thread::current().id();
+            assert!(forks.iter().all(|&(_, t)| t != me), "{threads} threads: fork on caller");
+            let mut streams: Vec<u64> = forks.iter().map(|&(s, _)| s).collect();
+            streams.sort_unstable();
+            assert_eq!(streams, vec![0, 1, 2, 3, 4], "{threads} threads");
+        }
+    }
+
+    /// A `false` checkpoint stops the claims: past the stopping chunk,
+    /// only the at most one chunk per worker already claimed is forked.
+    /// The forks past chunk 0 wait for the checkpoint, so no worker can
+    /// race through the plan before it is decided.
+    #[test]
+    fn false_checkpoint_stops_claims() {
+        for threads in [1, 3] {
+            let gate = Arc::new(AtomicBool::new(false));
+            let toy = ForkLog::new(Some(gate.clone()), false);
+            let ends = [1_000, 40 * CHUNK_TRACES];
+            let c = Campaign { traces: ends[1], threads, seed: 9 };
+            let r = c.run_chunked(&toy, &ends, |_, _| {
+                gate.store(true, Ordering::SeqCst);
+                false
+            });
+            assert_eq!(r.unwrap().total_traces(), 1_000);
+            let past = toy.forks().iter().filter(|&&(s, _)| s > 0).count();
+            assert!(past <= threads, "{threads} threads forked {past} chunks past the stop");
+        }
+    }
+
+    /// A source's panic stops a 40-chunk campaign within a few forks and
+    /// surfaces with the source's own message.
+    #[test]
+    fn source_panic_stops_the_campaign() {
+        let threads = 2;
+        let toy = ForkLog::new(Some(Arc::default()), true);
+        let c = Campaign { traces: 40 * CHUNK_TRACES, threads, seed: 1 };
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.run(&toy)))
+            .expect_err("the source panics");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"toy source failed"));
+        let forks = toy.forks().len();
+        assert!(forks <= 2 * threads, "{forks} forks after the panic");
     }
 
     #[test]

@@ -41,7 +41,7 @@
 /// one monotonic timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// Static span-site name, e.g. `"tvla.block"` or `"sched.sweep"`.
+    /// Static span-site name, e.g. `"tvla.block"` or `"sched.repair"`.
     pub name: &'static str,
     /// Sequential recorder-assigned thread id (1 = first recording thread).
     pub tid: u32,

@@ -15,42 +15,29 @@ use gm_netlist::{GateId, Netlist};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
-/// Default inertial pulse-rejection width: pulses narrower than this are
-/// annihilated rather than propagated. Physically the gate's output
-/// switching (rise/fall) time — much shorter than its propagation delay.
-pub const DEFAULT_PULSE_REJECT_PS: u64 = 200;
+/// Inertial pulse-rejection width of every gate: pulses narrower than
+/// this are annihilated rather than propagated. Physically the gate's
+/// output switching (rise/fall) time — much shorter than its propagation
+/// delay.
+pub const PULSE_REJECT_PS: u64 = 200;
 
 /// Delay model for one instantiated netlist.
 ///
 /// The per-instance tables are precomputed when the "device" is built:
 /// `base_fixed_ps` holds the already-clamped integer delay used on the
-/// jitter-free fast path, and `reject_ps` the per-gate inertial
-/// pulse-rejection threshold, so the event hot loop never recomputes
-/// either.
+/// jitter-free fast path, so the event hot loop never recomputes it.
 #[derive(Debug, Clone)]
 pub struct DelayModel {
     base_ps: Vec<f64>,
     /// `max(base_ps, 1)` as integer ps: the whole sample when jitter is off.
     base_fixed_ps: Vec<u64>,
     jitter_sigma_ps: f64,
-    pulse_reject_ps: u64,
-    /// Per-gate rejection thresholds (currently uniform; kept per-instance
-    /// so a future threshold-variation model is a table fill, not an API
-    /// change).
-    reject_ps: Vec<u64>,
 }
 
 impl DelayModel {
     fn from_base(base_ps: Vec<f64>, jitter_sigma_ps: f64) -> Self {
         let base_fixed_ps = base_ps.iter().map(|&d| d.max(1.0) as u64).collect();
-        let reject_ps = vec![DEFAULT_PULSE_REJECT_PS; base_ps.len()];
-        DelayModel {
-            base_ps,
-            base_fixed_ps,
-            jitter_sigma_ps,
-            pulse_reject_ps: DEFAULT_PULSE_REJECT_PS,
-            reject_ps,
-        }
+        DelayModel { base_ps, base_fixed_ps, jitter_sigma_ps }
     }
 
     /// Nominal delays only: no variation, no jitter. Deterministic; good
@@ -79,18 +66,6 @@ impl DelayModel {
     /// Per-event jitter sigma in ps.
     pub fn jitter_sigma_ps(&self) -> f64 {
         self.jitter_sigma_ps
-    }
-
-    /// Inertial pulse-rejection width in ps (see
-    /// [`DEFAULT_PULSE_REJECT_PS`]).
-    pub fn pulse_reject_ps(&self) -> u64 {
-        self.pulse_reject_ps
-    }
-
-    /// Inertial pulse-rejection threshold of one gate instance in ps.
-    #[inline]
-    pub fn pulse_reject_of(&self, gate: GateId) -> u64 {
-        self.reject_ps[gate.index()]
     }
 
     /// Base (nominal × process) delay of a gate instance in ps.
@@ -423,16 +398,6 @@ mod tests {
         for g in [GateId(0), GateId(1)] {
             m.sample_event_tile(g, TILE, &mut tile);
             assert!(tile.d.iter().all(|&d| d == m.base_ps(g).max(1.0) as u64));
-        }
-    }
-
-    #[test]
-    fn per_gate_reject_table_follows_override() {
-        let n = tiny();
-        let m = DelayModel::nominal(&n);
-        assert_eq!(m.pulse_reject_ps(), DEFAULT_PULSE_REJECT_PS);
-        for g in [GateId(0), GateId(1)] {
-            assert_eq!(m.pulse_reject_of(g), DEFAULT_PULSE_REJECT_PS);
         }
     }
 

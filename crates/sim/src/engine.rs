@@ -7,7 +7,7 @@
 //!   different moments emits its full glitch train (this is the hazard
 //!   the paper builds on);
 //! * **inertial rejection**: a pulse narrower than the gate's switching
-//!   time ([`DelayModel::pulse_reject_ps`]) is annihilated before it can
+//!   time ([`PULSE_REJECT_PS`]) is annihilated before it can
 //!   propagate — near-simultaneous input edges do *not* produce output
 //!   energy. Without this filter a cancelled glitch would be counted as a
 //!   full double-toggle and the data-dependence of glitch energy (the
@@ -33,7 +33,7 @@
 //! ([`ClockedCore`](crate::ClockedCore)) and the sweep's divergent-lane
 //! repair ([`LaneSweep`](crate::LaneSweep)) drive it the same way.
 
-use crate::delay::DelayModel;
+use crate::delay::{DelayModel, PULSE_REJECT_PS};
 use crate::power::NullSink;
 use crate::wheel::TimingWheel;
 use gm_netlist::netlist::Driver;
@@ -630,9 +630,7 @@ impl SimCore {
             let t = (time + d).max(self.out_last_time[gi] + 1);
             let pending = self.out_last_time[gi] > time;
             let out_net = graph.outputs[gi];
-            if pending
-                && t.saturating_sub(self.out_last_time[gi]) < delays.pulse_reject_of(GateId(gi_u))
-            {
+            if pending && t.saturating_sub(self.out_last_time[gi]) < PULSE_REJECT_PS {
                 // The in-flight pulse is narrower than the switching
                 // time: annihilate it instead of delivering both edges.
                 self.stats.annihilations.inc();
@@ -751,13 +749,13 @@ mod tests {
         let delays = DelayModel::nominal(&n);
         let g = SimGraph::new(&n);
 
-        // 10 ps pulse (<< pulse_reject_ps): dies at the first buffer.
+        // 10 ps pulse (<< PULSE_REJECT_PS): dies at the first buffer.
         let mut sim = SimCore::new(&g, 0);
         sim.schedule(a, 100, true);
         sim.schedule(a, 110, false);
         assert_eq!(sim.run_counting(&g, &delays, 100_000), 2, "only the input edges themselves");
 
-        // 5 ns pulse (>> pulse_reject_ps): both chain nets pulse fully.
+        // 5 ns pulse (>> PULSE_REJECT_PS): both chain nets pulse fully.
         let mut sim = SimCore::new(&g, 0);
         sim.schedule(a, 100, true);
         sim.schedule(a, 5_100, false);

@@ -280,7 +280,6 @@ impl LaneEnergy {
     /// per-pass f64 reduction that replaces the per-transition scatter.
     pub fn energies_into(&mut self, out: &mut [f64; 64]) {
         let _t = self.stats.ns.span();
-        let _pack_span = gm_obs::trace::span("sched.pack");
         out.fill(0.0);
         for (c, &w) in self.class_w.iter().enumerate() {
             let planes = &self.planes[c * PLANES..(c + 1) * PLANES];
@@ -383,7 +382,6 @@ impl LaneBinTrace {
     /// block — the single per-pass f64 reduction.
     pub fn finish_pass(&mut self) {
         let _t = self.stats.ns.span();
-        let _pack_span = gm_obs::trace::span("sched.pack");
         self.samples.copy_from_slice(&self.spill);
         for (c, &w) in self.class_w.iter().enumerate() {
             for bin in 0..self.num_bins {

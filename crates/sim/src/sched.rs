@@ -48,7 +48,7 @@
 //! source only draws its per-trace seed and stimulus bits and emits
 //! what the sinks collected.
 
-use crate::delay::{event_hash, quantized_gaussian, DelayModel, JitterTile};
+use crate::delay::{event_hash, quantized_gaussian, DelayModel, JitterTile, PULSE_REJECT_PS};
 use crate::engine::{PowerSink, SimCore, SimGraph, JITTER_SALT_XOR, MAX_PINS};
 use crate::power::LaneSink;
 use gm_netlist::{Csr, GateId, NetId};
@@ -490,7 +490,6 @@ impl SchedRunner {
         assert_eq!(stim_values.len(), sched.num_stims);
         self.ensure_capacity(sched, graph);
         let span = self.stats.pass_ns.span();
-        let _sweep_span = gm_obs::trace::span("sched.sweep");
         let lane_mask = if seeds.len() == LANES { !0u64 } else { (1u64 << seeds.len()) - 1 };
         for (l, &s) in seeds.iter().enumerate() {
             self.salts[l] = s ^ JITTER_SALT_XOR;
@@ -667,7 +666,6 @@ impl SchedRunner {
                 // `DelayModel::sample_event_ps` with the per-gate
                 // pieces hoisted out of the loop.
                 let gid = GateId(g as u32);
-                let reject = delays.pulse_reject_of(gid);
                 let base = delays.base_ps(gid);
                 let base_fixed = delays.base_fixed_of(gid);
                 let sigma = delays.jitter_sigma_ps();
@@ -694,10 +692,7 @@ impl SchedRunner {
                             j += 1;
                         }
                     }
-                    {
-                        let _jitter_span = gm_obs::trace::span("sched.jitter");
-                        delays.sample_event_tile(gid, nt as usize, &mut self.tile);
-                    }
+                    delays.sample_event_tile(gid, nt as usize, &mut self.tile);
                     batched_draws += nt as u64;
                     let gls = &mut self.glanes[gl..gl + LANES];
                     for (&lb, &d) in lanes[..nt as usize].iter().zip(&self.tile.d) {
@@ -710,7 +705,7 @@ impl SchedRunner {
                         let tj = times[l];
                         let ol = gle.out_last as u64;
                         let t = (tj + d).max(ol + 1);
-                        if ol > tj && t - ol < reject {
+                        if ol > tj && t - ol < PULSE_REJECT_PS {
                             // Rare inertial rejection: defer to phase 3.
                             self.tarr[l] = t;
                             rej |= 1u64 << l;
@@ -744,7 +739,7 @@ impl SchedRunner {
                         let tj = times[l];
                         let ol = gle.out_last as u64;
                         let t = (tj + d).max(ol + 1);
-                        if ol > tj && t - ol < reject {
+                        if ol > tj && t - ol < PULSE_REJECT_PS {
                             self.tarr[l] = t;
                             rej |= 1u64 << l;
                         } else {
